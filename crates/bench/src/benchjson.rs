@@ -433,7 +433,7 @@ fn push_tail_exemplars(out: &mut String, cells: &[Headline]) {
                     .join(", ");
                 format!(
                     "      {{\"op\": \"{}\", \"total_ns\": {}, \"at_ns\": {}, \
-                     \"seq\": [{}, {}], \"shard\": {}, \"batch\": {}, \"fences\": {}, \
+                     \"seq\": [{}, {}], \"batch\": {}, \"fences\": {}, \
                      \"persisted_bytes\": {}, \"stall_events\": {}, \
                      \"phases\": {{{phases}}}, \"waits\": {{{waits}}}}}",
                     r.op.label(),
@@ -441,11 +441,6 @@ fn push_tail_exemplars(out: &mut String, cells: &[Headline]) {
                     r.at_ns,
                     r.seq_start,
                     r.seq_end,
-                    if r.shard == obsv::NO_SHARD {
-                        -1
-                    } else {
-                        r.shard as i64
-                    },
                     r.batch,
                     r.fences,
                     r.persisted_bytes,
@@ -750,7 +745,7 @@ mod tests {
             "\"tail_exemplars\"",
             "\"op_latency\"",
             "\"contention\"",
-            "\"hinfs.shard0\"",
+            "\"hinfs.buffer_pool\"",
             "\"top_by_wait\"",
             "\"spans\"",
             "\"snapshot\"",

@@ -7,7 +7,7 @@
 //!
 //! 1. **mutates** a corpus script (insert/delete/splice/duplicate ops,
 //!    perturb sizes/offsets/fills, toggle fsync placement, remap file
-//!    slots so inodes collide on one shard, optionally vary the thread
+//!    slots so several ops target one inode, optionally vary the thread
 //!    count);
 //! 2. **differentially checks** the mutant on every [`FsKind`] against
 //!    the shared [`RefModel`]: per-op outcome classes must agree, and the
@@ -704,8 +704,8 @@ impl Fuzzer {
                     }
                 }
                 21..=22 => {
-                    // Remap one file slot onto another: with inode-keyed
-                    // sharding this is the shard-collision mutator.
+                    // Remap one file slot onto another, so ops that hit
+                    // different files now interleave on one inode.
                     let a = self.rng.gen_range(0..MAX_FILES);
                     let to = self.rng.gen_range(0..MAX_FILES);
                     for op in ops.iter_mut() {

@@ -9,8 +9,8 @@ use crate::types::Fd;
 
 /// Maps descriptors to per-open state of type `T`.
 ///
-/// Descriptors are reused lowest-first like POSIX. The table is sharded
-/// behind a single mutex; descriptor operations are rare compared to I/O.
+/// Descriptors are reused lowest-first like POSIX. The table sits behind
+/// a single mutex; descriptor operations are rare compared to I/O.
 #[derive(Debug)]
 pub struct FdTable<T> {
     inner: TrackedMutex<Inner<T>>,

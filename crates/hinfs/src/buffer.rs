@@ -264,6 +264,10 @@ pub struct FileBuf {
     pub last_sync_ns: u64,
     /// While a direct mapping is live every write is eager (paper §4.2).
     pub mmap_pinned: bool,
+    /// A writeback allocation changed the inode's block tree or block
+    /// count but the journal was too full to log the inode core, so NVMM
+    /// still holds the old root. fsync, sync and unmount log it.
+    pub inode_unlogged: bool,
 }
 
 impl FileBuf {

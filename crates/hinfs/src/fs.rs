@@ -11,11 +11,7 @@
 //! - **fsync** flushes the file's dirty buffer blocks, commits its ordered
 //!   transactions, and feeds the Buffer Benefit Model.
 //!
-//! Lock order: inode `RwLock` → buffer shard mutex → journal mutex. A
-//! file's buffered state lives entirely in shard `ino % cfg.shards`, so a
-//! per-file path holds at most one shard lock; only mount-wide sweeps
-//! (flush-all, introspection) visit several shards, and they do so one at
-//! a time, never nested.
+//! Lock order: inode `RwLock` → buffer pool mutex → journal mutex.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -38,10 +34,9 @@ pub struct Hinfs {
     pub(crate) inner: Arc<Pmfs>,
     pub(crate) env: Arc<SimEnv>,
     pub(crate) cfg: HinfsConfig,
-    /// The buffer pool, split into independent shards keyed `ino % shards`
-    /// — a file's blocks, index, LRW position and open transactions all
-    /// live in exactly one shard, so per-file paths take one shard lock.
-    pub(crate) shards: Vec<TrackedMutex<Shared>>,
+    /// The DRAM buffer pool, the per-file Block Index and the global LRW
+    /// list, with the files' open ordered transactions.
+    pub(crate) shared: TrackedMutex<Shared>,
     pub(crate) stats: HinfsStats,
     pub(crate) obs: Arc<FsObs>,
     pub(crate) wb: WbCtl,
@@ -64,21 +59,16 @@ impl Hinfs {
 
     fn wrap(inner: Arc<Pmfs>, cfg: HinfsConfig) -> Result<Arc<Hinfs>> {
         let env = inner.env().clone();
-        let nshards = cfg.shards.max(1);
-        let shards = (0..nshards)
-            .map(|i| {
-                TrackedMutex::attached(
-                    env.contention(),
-                    Site::hinfs_shard(i),
-                    Shared::init(cfg.shard_blocks(i)),
-                )
-            })
-            .collect();
+        let shared = TrackedMutex::attached(
+            env.contention(),
+            Site::HinfsBufferPool,
+            Shared::init(cfg.buffer_blocks()),
+        );
         let fs = Arc::new(Hinfs {
-            shards,
+            shared,
             stats: HinfsStats::new(),
             obs: Arc::new(FsObs::default()),
-            wb: WbCtl::new(nshards),
+            wb: WbCtl::new(),
             inner,
             env,
             cfg,
@@ -141,18 +131,6 @@ impl Hinfs {
 
     pub(crate) fn dev(&self) -> &Arc<NvmmDevice> {
         self.inner.device()
-    }
-
-    /// Index of the buffer shard owning `ino`.
-    pub(crate) fn shard_idx(&self, ino: u64) -> usize {
-        (ino % self.shards.len() as u64) as usize
-    }
-
-    /// The buffer shard owning `ino`.
-    pub(crate) fn shard(&self, ino: u64) -> &TrackedMutex<Shared> {
-        let idx = self.shard_idx(ino);
-        obsv::note_shard(idx as u32);
-        &self.shards[idx]
     }
 
     // ----- write path -----
@@ -255,14 +233,14 @@ impl Hinfs {
             let bblk = old_size / BLOCK_SIZE as u64;
             let gap_end = off.min((bblk + 1) * BLOCK_SIZE as u64);
             let materialized = {
-                let sh = self.shard(ino).lock();
+                let sh = self.shared.lock();
                 sh.slot_of(ino, bblk).is_some()
             } || pmfs::tree::lookup(self.dev(), state, bblk).is_some();
             if materialized && gap_end > old_size {
                 let in_blk = (old_size % BLOCK_SIZE as u64) as usize;
                 let zeros = vec![0u8; (gap_end - old_size) as usize];
                 self.buffered_write_chunk(ino, state, bblk, in_blk, &zeros, now)?;
-                let mut sh = self.shard(ino).lock();
+                let mut sh = self.shared.lock();
                 checker::record_write(
                     sh.file_mut(ino),
                     bblk,
@@ -284,12 +262,12 @@ impl Hinfs {
                 let mask = range_mask(in_blk, chunk);
 
                 let eager = case1 || {
-                    let mut sh = self.shard(ino).lock();
+                    let mut sh = self.shared.lock();
                     checker::is_eager_block(&self.cfg, sh.file_mut(ino), iblk, now)
                 };
                 if !eager {
                     self.buffered_write_chunk(ino, state, iblk, in_blk, payload, now)?;
-                    let mut sh = self.shard(ino).lock();
+                    let mut sh = self.shared.lock();
                     checker::record_write(sh.file_mut(ino), iblk, mask, true);
                     HinfsStats::bump(&self.stats.lazy_writes, 1);
                     pending.insert(iblk);
@@ -298,7 +276,7 @@ impl Hinfs {
                     // when the write completes.
                     let mut absorbed = false;
                     {
-                        let mut sh = self.shard(ino).lock();
+                        let mut sh = self.shared.lock();
                         if let Some(slot) = sh.slot_of(ino, iblk) {
                             if case1 {
                                 // Case 1 on a buffered block: apply the
@@ -332,7 +310,7 @@ impl Hinfs {
                         // Eager-persistent: durable at op return, lag 0.
                         self.obs.lineage().record_inline_drain(payload.len() as u64);
                     }
-                    let mut sh = self.shard(ino).lock();
+                    let mut sh = self.shared.lock();
                     checker::record_write(sh.file_mut(ino), iblk, mask, false);
                     if case1 {
                         HinfsStats::bump(&self.stats.sync_writes, 1);
@@ -359,7 +337,7 @@ impl Hinfs {
                 self.inner.journal().abort(tx);
                 return Err(e);
             }
-            let mut sh = self.shard(ino).lock();
+            let mut sh = self.shared.lock();
             // A reclaim may already have flushed some of this op's blocks
             // (pool pressure mid-write); only still-dirty blocks gate the
             // commit.
@@ -387,12 +365,10 @@ impl Hinfs {
         }
         drop(guard);
 
-        // Wake the background writeback when the file's shard runs low
-        // (Low_f, applied to the shard's own capacity).
+        // Wake the background writeback when free blocks drop below Low_f.
         let low = {
-            let sh = self.shard(ino).lock();
-            let free = sh.pool().free_count();
-            let low_mark = self.cfg.low_blocks_of(sh.pool().capacity());
+            let free = self.shared.lock().pool().free_count();
+            let low_mark = self.cfg.low_blocks();
             if free < low_mark {
                 self.obs.trace.emit(now, || TraceEvent::WatermarkLow {
                     free: free as u64,
@@ -504,7 +480,7 @@ impl Hinfs {
             },
         );
         loop {
-            let mut sh = self.shard(ino).lock();
+            let mut sh = self.shared.lock();
             if let Some(slot) = sh.slot_of(ino, iblk) {
                 HinfsStats::bump(&self.stats.buffer_hits, 1);
                 let fetch_need = if self.cfg.clfw {
@@ -530,7 +506,7 @@ impl Hinfs {
                     .trace
                     .emit(now, || TraceEvent::ForegroundStall { ino });
                 let t0 = self.env.now();
-                self.reclaim(self.shard_idx(ino), 1, Some((ino, state)), false);
+                self.reclaim(1, Some((ino, state)), false);
                 self.note_stall(Site::StallWriteback, t0);
                 continue;
             };
@@ -576,7 +552,7 @@ impl Hinfs {
             let in_blk = (pos % BLOCK_SIZE as u64) as usize;
             let chunk = (BLOCK_SIZE - in_blk).min(n - done);
             let out = &mut buf[done..done + chunk];
-            let sh = self.shard(of.ino).lock();
+            let sh = self.shared.lock();
             match sh.slot_of(of.ino, iblk) {
                 Some(slot) => {
                     self.inner.device().spans().scope(
@@ -646,7 +622,7 @@ impl Hinfs {
     /// for the involved blocks. Caller holds the inode write lock.
     pub(crate) fn fsync_core(&self, ino: u64, state: &mut InodeMem, eval_bbm: bool) -> Result<()> {
         let now = self.env.now();
-        let mut sh = self.shard(ino).lock();
+        let mut sh = self.shared.lock();
         // Collect this file's dirty blocks and their flush sizes (N_cf).
         let mut dirty: Vec<(u64, u32, u64)> = Vec::new(); // (iblk, slot, n_cf)
         if let Some(file) = sh.files.get(&ino) {
@@ -730,6 +706,15 @@ impl Hinfs {
             );
         }
         drop(sh);
+        // A flush that found the journal full left the new tree root in
+        // DRAM only: fsync is not done until the inode core is logged.
+        match self.log_unlogged_inode(ino, state) {
+            Err(FsError::JournalFull) => {
+                self.flush_all_opportunistic();
+                self.log_unlogged_inode(ino, state)?;
+            }
+            r => r?,
+        }
         self.dev().sfence();
         self.maybe_audit();
         Ok(())
@@ -740,7 +725,7 @@ impl Hinfs {
     /// later deleted do not need to be performed"). Caller holds the inode
     /// write lock or has otherwise excluded concurrent I/O on the file.
     pub(crate) fn drop_buffers(&self, ino: u64) {
-        let mut sh = self.shard(ino).lock();
+        let mut sh = self.shared.lock();
         if let Some(mut file) = sh.files.remove(&ino) {
             let mut slots = Vec::new();
             file.index.drain(&mut |_, slot| slots.push(slot));
@@ -997,7 +982,7 @@ impl FileSystem for Hinfs {
         {
             let mut guard = of.handle.state.write();
             self.fsync_core(of.ino, &mut guard, false)?;
-            let mut sh = self.shard(of.ino).lock();
+            let mut sh = self.shared.lock();
             // Drop (clean) buffered copies: the mapping must see NVMM.
             let slots: Vec<u32> = match sh.files.get(&of.ino) {
                 Some(f) => {

@@ -50,9 +50,7 @@ fn buffered_write_read_roundtrip() {
 
 #[test]
 fn lazy_writes_stay_off_nvmm_until_fsync() {
-    // One file lives in one shard: size the pool so that shard holds the
-    // whole 8-block write without reclaiming.
-    let (dev, fs) = fresh_with(small_cfg().with_buffer_bytes(512 * BLOCK_SIZE));
+    let (dev, fs) = fresh();
     let fd = fs.open("/f", rw_create()).unwrap();
     let before = dev.stats().snapshot();
     fs.write(fd, 0, &vec![7u8; 8 * BLOCK_SIZE]).unwrap();
@@ -77,13 +75,7 @@ fn lazy_writes_stay_off_nvmm_until_fsync() {
 fn buffered_write_is_much_faster_than_direct() {
     let env = SimEnv::new_virtual(CostModel::default());
     let dev_h = NvmmDevice::new(env.clone(), 8192 * BLOCK_SIZE);
-    // 16 blocks go to a single file (one shard): give that shard headroom.
-    let hin = Hinfs::mkfs(
-        dev_h,
-        opts(),
-        small_cfg().with_buffer_bytes(512 * BLOCK_SIZE),
-    )
-    .unwrap();
+    let hin = Hinfs::mkfs(dev_h, opts(), small_cfg()).unwrap();
     let dev_p = NvmmDevice::new(env.clone(), 8192 * BLOCK_SIZE);
     let pm = Pmfs::mkfs(dev_p, opts()).unwrap();
 
@@ -655,6 +647,41 @@ fn spin_mode_smoke() {
         fs.read(fd, i * BLOCK_SIZE as u64, &mut buf).unwrap();
         assert!(buf.iter().all(|&b| b == 3));
     }
+    fs.close(fd).unwrap();
+    fs.unmount().unwrap();
+}
+
+/// Writeback that allocates NVMM blocks while the journal refuses
+/// admission grows the file's block tree in DRAM only. Once the journal
+/// is back, sync and unmount must log the new root, so a remount reads
+/// every flushed byte instead of holes.
+#[test]
+fn journal_full_writeback_keeps_tree_root_across_remount() {
+    let (dev, fs) = fresh();
+    let fd = fs.open("/f", rw_create()).unwrap();
+    let data: Vec<u8> = (0..3 * BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+    fs.write(fd, 0, &data).unwrap();
+    let plan = nvmm::FaultPlan::new();
+    dev.fault_hook().install(plan.clone());
+    plan.set_journal_unavailable(true);
+    // Age the buffered blocks past the dirty-age rule: the periodic pass
+    // allocates their NVMM blocks with the journal closed.
+    let cfg = fs.config();
+    let t = fs.env().now() + cfg.dirty_age_ns + cfg.periodic_wb_ns;
+    fs.env().set_now(t);
+    fs.tick(t);
+    assert_eq!(fs.dirty_blocks(), 0, "writeback ran under the fault");
+    dev.fault_hook().clear();
+    fs.close(fd).unwrap();
+    fs.sync().unwrap();
+    fs.unmount().unwrap();
+    drop(fs);
+
+    let fs = Hinfs::mount(dev, small_cfg()).unwrap();
+    let fd = fs.open("/f", OpenFlags::READ).unwrap();
+    let mut buf = vec![0u8; data.len()];
+    assert_eq!(fs.read(fd, 0, &mut buf).unwrap(), data.len());
+    assert!(buf == data, "flushed blocks unreachable after remount");
     fs.close(fd).unwrap();
     fs.unmount().unwrap();
 }

@@ -19,9 +19,9 @@
 //! mid-operation, so the *in-band* auditor (fsync/writeback hooks) skips
 //! them in spin mode, where other real threads run concurrently: there a
 //! journal transaction legitimately exists for a moment before its file
-//! FIFO entry does. The shard-local checks (codes 0–7) run under each
-//! shard's lock and hold at every lock release, so they stay on in every
-//! mode. A quiescent [`Introspect::audit`] call (end of run, unmount,
+//! FIFO entry does. The pool-local checks (codes 0–7) run under the
+//! buffer-pool lock and hold at every release of it, so they stay on in
+//! every mode. A quiescent [`Introspect::audit`] call (end of run, unmount,
 //! post-recovery) always runs the full set.
 
 use obsv::{
@@ -36,7 +36,7 @@ impl Hinfs {
     pub(crate) fn maybe_audit(&self) {
         if self.cfg.audit {
             // In spin mode other threads are mid-operation; only the
-            // shard-local invariants are exact (see the module doc).
+            // pool-local invariants are exact (see the module doc).
             let quiescent = self.env.mode() == nvmm::TimeMode::Virtual;
             let rep = self.audit_inner(quiescent);
             self.obs.record_audit(&rep);
@@ -52,27 +52,23 @@ impl Introspect for Hinfs {
             high_blocks: self.cfg.high_blocks() as u64,
             ..BufferSnap::default()
         };
-        // Shards are visited in index order, each under its own lock; the
-        // numbers are mutually consistent per shard (in virtual mode whole
-        // operations are atomic, so the aggregate is consistent too).
         let mut resident_eager = 0u64;
-        for shard in &self.shards {
-            let sh = shard.lock();
+        {
+            let sh = self.shared.lock();
             let pool = sh.pool();
-            b.capacity_blocks += pool.capacity() as u64;
-            b.free_blocks += pool.free_count() as u64;
-            b.occupied_blocks += pool.lrw.len() as u64;
-            b.dirty_blocks += sh.dirty_blocks as u64;
+            b.capacity_blocks = pool.capacity() as u64;
+            b.free_blocks = pool.free_count() as u64;
+            b.occupied_blocks = pool.lrw.len() as u64;
+            b.dirty_blocks = sh.dirty_blocks as u64;
             for slot in pool.lrw.iter_from_tail() {
                 let m = pool.meta(slot);
                 b.dirty_line_histo[dirty_line_bucket(m.dirty.count_ones())] += 1;
                 b.lrw_age_histo[lrw_age_bucket(now.saturating_sub(m.last_write_ns))] += 1;
             }
             if let Some(tail) = pool.lrw.tail() {
-                let age = now.saturating_sub(pool.meta(tail).last_write_ns);
-                b.lrw_oldest_age_ns = b.lrw_oldest_age_ns.max(age);
+                b.lrw_oldest_age_ns = now.saturating_sub(pool.meta(tail).last_write_ns);
             }
-            b.files_tracked += sh.files.len() as u64;
+            b.files_tracked = sh.files.len() as u64;
             // HashMap iteration order is arbitrary; sort so repeated
             // snapshots of identical state are identical.
             let mut inos: Vec<u64> = sh.files.keys().copied().collect();
@@ -129,22 +125,22 @@ impl Introspect for Hinfs {
 
 impl Hinfs {
     /// The audit body. `quiescent: false` restricts the pass to the
-    /// shard-local invariants (codes 0–7), which hold at every shard-lock
+    /// pool-local invariants (codes 0–7), which hold at every pool-lock
     /// release even while other threads mutate; `true` adds the
     /// cross-layer sums (codes 8–9) and the PMFS walk, which are only
     /// exact with no operation in flight.
     fn audit_inner(&self, quiescent: bool) -> AuditReport {
         let mut rep = AuditReport::new(self.env.now());
         let mut open_sum = 0u64;
-        // Per-shard structural checks: each shard is its own pool + index
-        // + LRW universe, so codes 0–7 hold shard-locally.
-        for shard in &self.shards {
-            let sh = shard.lock();
+        // Structural checks over the pool, the Block Index and the LRW list
+        // (codes 0–7), under one hold of the pool lock.
+        {
+            let sh = self.shared.lock();
             let pool = sh.pool();
             let cap = pool.capacity() as u64;
-            // config.watermarks: low < high <= capacity, per shard.
-            let low = self.cfg.low_blocks_of(pool.capacity()) as u64;
-            let high = self.cfg.high_blocks_of(pool.capacity()) as u64;
+            // config.watermarks: low < high <= capacity.
+            let low = self.cfg.low_blocks() as u64;
+            let high = self.cfg.high_blocks() as u64;
             rep.check_lt(6, 0, 0, low, high);
             rep.check_le(6, 0, 0, high, cap);
             // lrw.accounting: every slot is either linked or free.
@@ -213,7 +209,7 @@ impl Hinfs {
         }
         if quiescent {
             // tx.accounting: the opened/committed counters explain every
-            // open transaction, summed over all shards.
+            // open transaction.
             let s = self.stats.snapshot();
             rep.check_eq(
                 8,
@@ -223,7 +219,7 @@ impl Hinfs {
                 open_sum,
             );
             // journal.reserved (cross-layer): every journal-side open
-            // transaction belongs to some file's FIFO in some shard.
+            // transaction belongs to some file's FIFO.
             rep.check_eq(9, 0, 0, self.inner.journal().usage().open_txs, open_sum);
             // lineage.sync_decay_bound: no acked write may stay volatile
             // longer than the mount's own staleness promise — the 30 s
@@ -337,7 +333,7 @@ mod tests {
         // Flip a dirty bit with no backing valid line — exactly the class
         // of bug the Cacheline Bitmap invariant exists to catch.
         {
-            let mut sh = fs.shard(ino).lock();
+            let mut sh = fs.shared.lock();
             let slot = sh.slot_of(ino, 5).expect("block 5 is buffered");
             let m = sh.pool_mut().meta_mut(slot);
             let stray = !m.valid;

@@ -110,8 +110,7 @@ mod tests {
             }
             // Re-write block 1: it must become the MRW end.
             fs.write(fd, BLOCK_SIZE as u64, &[0xEE; 64]).unwrap();
-            let ino = fs.stat("/w").unwrap().ino;
-            let sh = fs.shard(ino).lock();
+            let sh = fs.shared.lock();
             let pool = sh.pool();
             let blocks: Vec<u64> = pool
                 .lrw

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use fskit::{FsError, Result};
-use nvmm::{Cat, TimeMode, BLOCK_SIZE, CACHELINE};
+use nvmm::{Cat, TimeMode, CACHELINE};
 use obsv::{ContentionTable, DrainKind, Site, TraceEvent, TrackedCondvar, TrackedMutex};
 use pmfs::inode::InodeMem;
 use pmfs::Layout;
@@ -36,10 +36,8 @@ use crate::tracker;
 /// Control state of the writeback machinery.
 #[derive(Debug)]
 pub struct WbCtl {
-    /// Per-shard writeback-actor virtual clocks (virtual mode only): each
-    /// shard's background pass advances on its own timeline, mirroring one
-    /// writeback thread per shard.
-    pub(crate) clocks: Vec<AtomicU64>,
+    /// The writeback actor's virtual clock (virtual mode only).
+    pub(crate) clock: AtomicU64,
     /// Last periodic pass, in simulated ns.
     pub(crate) last_periodic: AtomicU64,
     pub(crate) stop: AtomicBool,
@@ -49,9 +47,9 @@ pub struct WbCtl {
 }
 
 impl WbCtl {
-    pub(crate) fn new(nshards: usize) -> WbCtl {
+    pub(crate) fn new() -> WbCtl {
         WbCtl {
-            clocks: (0..nshards.max(1)).map(|_| AtomicU64::new(0)).collect(),
+            clock: AtomicU64::new(0),
             last_periodic: AtomicU64::new(0),
             stop: AtomicBool::new(false),
             kick_flag: TrackedMutex::new(Site::HinfsWriteback, false),
@@ -133,27 +131,34 @@ impl Hinfs {
                     }
                     pmfs::tree::insert(dev, self.inner.allocator(), st, meta.iblk, p)?;
                     st.blocks += 1;
-                    // Persist the block-count change through the ordered
-                    // FIFO. This is strictly best-effort: flushing must
-                    // make progress even under journal pressure (it is the
-                    // pressure-relief path), and the count is rebuilt from
-                    // the tree at recovery anyway.
+                    // Persist the new tree root and block count through the
+                    // ordered FIFO. Flushing must make progress even under
+                    // journal pressure (it is the pressure-relief path), so
+                    // a full ring only defers the inode log: the file is
+                    // marked and fsync/sync/unmount log it once the ring
+                    // has drained.
+                    let mut logged = false;
                     if let Ok(tx) = self.inner.journal().begin() {
                         match self.inner.log_write_inode(&tx, meta.ino, st) {
-                            Ok(()) => tracker::enqueue(
-                                sh.file_mut(meta.ino),
-                                tx,
-                                HashSet::new(),
-                                self.obs
-                                    .lineage()
-                                    .stamp(self.env.now(), self.obs.trace.emitted()),
-                                &self.stats,
-                            ),
+                            Ok(()) => {
+                                tracker::enqueue(
+                                    sh.file_mut(meta.ino),
+                                    tx,
+                                    HashSet::new(),
+                                    self.obs
+                                        .lineage()
+                                        .stamp(self.env.now(), self.obs.trace.emitted()),
+                                    &self.stats,
+                                );
+                                logged = true;
+                            }
                             // Ring too full even for two undo entries:
-                            // resolve the empty transaction and move on.
+                            // resolve the empty transaction.
                             Err(_) => self.inner.journal().commit(tx),
                         }
                     }
+                    // A logged core carries every earlier tree change too.
+                    sh.file_mut(meta.ino).inode_unlogged = !logged;
                     p
                 }
             }
@@ -233,24 +238,23 @@ impl Hinfs {
     /// (foreground stall path — waiting there could deadlock).
     pub(crate) fn reclaim(
         &self,
-        si: usize,
         target_free: usize,
         own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
     ) {
         if !self.obs.trace.enabled() {
-            self.reclaim_loop(si, target_free, own, blocking);
+            self.reclaim_loop(target_free, own, blocking);
             return;
         }
-        let free = self.shards[si].lock().pool().free_count() as u64;
+        let free = self.shared.lock().pool().free_count() as u64;
         self.obs
             .trace
             .emit(self.env.now(), || obsv::TraceEvent::ReclaimBegin {
                 free,
                 target: target_free as u64,
             });
-        let victims = self.reclaim_loop(si, target_free, own, blocking);
-        let free = self.shards[si].lock().pool().free_count() as u64;
+        let victims = self.reclaim_loop(target_free, own, blocking);
+        let free = self.shared.lock().pool().free_count() as u64;
         self.obs
             .trace
             .emit(self.env.now(), || obsv::TraceEvent::ReclaimEnd {
@@ -262,94 +266,94 @@ impl Hinfs {
     /// The reclaim loop proper; returns the number of evicted victims.
     fn reclaim_loop(
         &self,
-        si: usize,
         target_free: usize,
         mut own: Option<(u64, &mut InodeMem)>,
         blocking: bool,
     ) -> u64 {
         let mut victims = 0;
         loop {
-            let mut sh = self.shards[si].lock();
-            if sh.pool().free_count() >= target_free {
-                return victims;
-            }
-            // Find the oldest victim we can handle in this iteration.
-            let mut victim: Option<(u32, u64)> = None; // (slot, ino-if-foreign)
-            for slot in sh.pool().lrw.iter_from_tail() {
-                let m = sh.pool().meta(slot);
-                let self_sufficient = m.dirty == 0 || m.nvmm_block != 0;
-                let is_own = own.as_ref().is_some_and(|(oino, _)| *oino == m.ino);
-                if self_sufficient || is_own {
-                    victim = Some((slot, 0));
-                    break;
-                }
-                if victim.is_none() {
-                    victim = Some((slot, m.ino));
-                }
-            }
-            let Some((slot, foreign_ino)) = victim else {
-                return victims; // pool empty of victims (everything already free)
-            };
-            if foreign_ino == 0 {
-                let state = own.as_mut().map(|(_, st)| &mut **st);
-                // Self-sufficient or own-inode victims cannot fail with
-                // NeedsInode; allocator exhaustion aborts the pass.
-                // Pool-pressure eviction drains behind the ack: lazy.
-                if self
-                    .evict_slot_locked(&mut sh, slot, state, DrainKind::Lazy)
-                    .is_err()
-                {
+            // Victim order: from the LRW end, first every block that can be
+            // evicted under the shared lock alone (clean, already backed by
+            // an NVMM block, or the caller's own), then the foreign hole
+            // blocks, whose flush needs the owner's inode lock. Evicting a
+            // block changes no other block's class or position, so one
+            // scan orders the whole pass; each victim is re-validated
+            // because other threads may run in between.
+            let order: Vec<(u32, u64, u64, bool)> = {
+                let sh = self.shared.lock();
+                if sh.pool().free_count() >= target_free {
                     return victims;
                 }
-                victims += 1;
-                continue;
+                let pool = sh.pool();
+                let own_ino = own.as_ref().map(|(ino, _)| *ino);
+                let (ready, foreign): (Vec<_>, Vec<_>) = pool
+                    .lrw
+                    .iter_from_tail()
+                    .map(|slot| {
+                        let m = pool.meta(slot);
+                        let needs_inode =
+                            m.dirty != 0 && m.nvmm_block == 0 && Some(m.ino) != own_ino;
+                        (slot, m.ino, m.iblk, needs_inode)
+                    })
+                    .partition(|v| !v.3);
+                ready.into_iter().chain(foreign).collect()
+            };
+            let before = victims;
+            for (slot, ino, iblk, needs_inode) in order {
+                // A foreign hole block needs its owner's inode lock, taken
+                // with the shared lock dropped (lock order: inode before
+                // shared).
+                let handle = match needs_inode.then(|| self.inner.inode(ino)) {
+                    Some(Ok(h)) => Some(h),
+                    Some(Err(_)) => continue, // raced with deletion
+                    None => None,
+                };
+                let mut guard = match &handle {
+                    Some(h) if blocking => Some(h.state.write()),
+                    Some(h) => match h.state.try_write() {
+                        Some(g) => Some(g),
+                        None => {
+                            // Foreground stall path: do not wait (deadlock
+                            // risk); rescan — background writeback will
+                            // handle it.
+                            std::thread::yield_now();
+                            break;
+                        }
+                    },
+                    None => None,
+                };
+                let mut sh = self.shared.lock();
+                if sh.pool().free_count() >= target_free {
+                    return victims;
+                }
+                if sh.slot_of(ino, iblk) != Some(slot) {
+                    continue;
+                }
+                let state = match guard.as_mut() {
+                    Some(g) => Some(&mut **g),
+                    None => own
+                        .as_mut()
+                        .filter(|(oino, _)| *oino == ino)
+                        .map(|(_, st)| &mut **st),
+                };
+                // Pool-pressure eviction drains behind the ack: lazy.
+                // Allocator exhaustion aborts the pass.
+                match self.evict_slot_locked(&mut sh, slot, state, DrainKind::Lazy) {
+                    Ok(FlushTry::Done) => victims += 1,
+                    // Became a dirty hole block since the scan.
+                    Ok(FlushTry::NeedsInode(_)) => {}
+                    Err(_) => return victims,
+                }
             }
-            // Foreign hole-block: take the owner's inode lock with the
-            // shared lock dropped (lock order: inode before shared).
-            drop(sh);
-            let Ok(handle) = self.inner.inode(foreign_ino) else {
-                continue; // raced with deletion; rescan
-            };
-            let guard = if blocking {
-                Some(handle.state.write())
-            } else {
-                handle.state.try_write()
-            };
-            let Some(mut guard) = guard else {
-                // Foreground stall path: do not wait (deadlock risk);
-                // rescan — background writeback will handle it.
-                std::thread::yield_now();
-                continue;
-            };
-            let mut sh = self.shards[si].lock();
-            // Re-validate after re-locking.
-            let still = sh.slot_of(foreign_ino, sh.pool().meta(slot).iblk) == Some(slot)
-                && sh.pool().meta(slot).ino == foreign_ino;
-            if still
-                && self
-                    .evict_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy)
-                    .is_ok()
-            {
-                victims += 1;
+            if victims == before {
+                return victims; // no progress: nothing evictable is left
             }
         }
     }
 
-    /// One full writeback pass over every shard at time `now` (on the
-    /// caller's clock) — the spin-mode thread body.
+    /// One full writeback pass at time `now` (on the caller's clock):
+    /// watermark reclaim, then the 30 s dirty-age flush.
     pub(crate) fn wb_pass(&self, now: u64) {
-        for si in 0..self.shards.len() {
-            self.wb_pass_shard(si, now);
-        }
-        // Periodic online audit: each background pass re-verifies the
-        // index/bitmap/LRW invariants when the mount has auditing on.
-        self.maybe_audit();
-    }
-
-    /// One writeback pass over shard `si`: watermark reclaim against the
-    /// shard's own `Low_f`/`High_f`, then the 30 s dirty-age flush along
-    /// the shard's LRW list.
-    pub(crate) fn wb_pass_shard(&self, si: usize, now: u64) {
         // Injected stall: the writeback actor simply makes no progress this
         // pass. Foreground paths must degrade gracefully (flush-on-demand
         // via fsync / pool-pressure reclaim in the write path still run).
@@ -359,59 +363,48 @@ impl Hinfs {
         // Background provenance: traffic of this pass lands in the bg row
         // (when an op's own reclaim runs inline, its frame stays owner).
         let _lin = self.obs.lineage().bg_scope();
-        {
-            let sh = self.shards[si].lock();
-            let cap = sh.pool().capacity();
-            let free = sh.pool().free_count();
-            drop(sh);
-            if free < self.cfg.low_blocks_of(cap) {
-                self.reclaim(si, self.cfg.high_blocks_of(cap), None, true);
-            }
+        let free = self.shared.lock().pool().free_count();
+        if free < self.cfg.low_blocks() {
+            self.reclaim(self.cfg.high_blocks(), None, true);
         }
-        // Age-based flush: the LRW list is ordered by last write, so scan
-        // from the LRW end until blocks get too young.
+        // Age-based flush: the LRW list is ordered by last write, so the
+        // candidates are the dirty blocks from the LRW end up to the first
+        // block too young to flush. Flushing changes no block's age or
+        // position, so one scan finds them all.
+        let aged: Vec<(u32, u64, u64)> = {
+            let sh = self.shared.lock();
+            let pool = sh.pool();
+            pool.lrw
+                .iter_from_tail()
+                .map(|slot| (slot, pool.meta(slot)))
+                .take_while(|(_, m)| m.last_write_ns + self.cfg.dirty_age_ns <= now)
+                .filter(|(_, m)| m.dirty != 0)
+                .map(|(slot, m)| (slot, m.ino, m.iblk))
+                .collect()
+        };
         let mut age_flushed: u64 = 0;
-        loop {
-            let mut sh = self.shards[si].lock();
-            let mut target: Option<(u32, u64)> = None;
-            for slot in sh.pool().lrw.iter_from_tail() {
-                let m = sh.pool().meta(slot);
-                if m.last_write_ns + self.cfg.dirty_age_ns > now {
-                    break;
-                }
-                if m.dirty != 0 {
-                    target = Some((slot, m.ino));
-                    break;
-                }
+        for (slot, ino, iblk) in aged {
+            let mut sh = self.shared.lock();
+            if sh.slot_of(ino, iblk) != Some(slot) || sh.pool().meta(slot).dirty == 0 {
+                continue; // evicted or flushed since the scan
             }
-            let Some((slot, ino)) = target else { break };
-            match self.flush_slot_locked(&mut sh, slot, None, DrainKind::Lazy) {
-                Ok(FlushTry::Done) => {
-                    age_flushed += 1;
-                    continue;
-                }
+            let done = match self.flush_slot_locked(&mut sh, slot, None, DrainKind::Lazy) {
                 Ok(FlushTry::NeedsInode(_)) => {
                     drop(sh);
                     let Ok(handle) = self.inner.inode(ino) else {
                         continue;
                     };
                     let mut guard = handle.state.write();
-                    let mut sh = self.shards[si].lock();
-                    let iblk = sh.pool().meta(slot).iblk;
-                    if sh.slot_of(ino, iblk) == Some(slot)
-                        && matches!(
-                            self.flush_slot_locked(
-                                &mut sh,
-                                slot,
-                                Some(&mut guard),
-                                DrainKind::Lazy
-                            ),
-                            Ok(FlushTry::Done)
-                        )
-                    {
-                        age_flushed += 1;
+                    let mut sh = self.shared.lock();
+                    if sh.slot_of(ino, iblk) != Some(slot) {
+                        continue;
                     }
+                    self.flush_slot_locked(&mut sh, slot, Some(&mut guard), DrainKind::Lazy)
                 }
+                r => r,
+            };
+            match done {
+                Ok(_) => age_flushed += 1,
                 Err(_) => break,
             }
         }
@@ -420,6 +413,9 @@ impl Hinfs {
                 .trace
                 .emit(now, || obsv::TraceEvent::PeriodicPass { age_flushed });
         }
+        // Periodic online audit: each background pass re-verifies the
+        // index/bitmap/LRW invariants when the mount has auditing on.
+        self.maybe_audit();
     }
 
     /// Virtual-mode hook: runs due background work on the writeback actor's
@@ -428,43 +424,32 @@ impl Hinfs {
         if self.env.mode() != TimeMode::Virtual {
             return;
         }
+        let need_reclaim = self.shared.lock().pool().free_count() < self.cfg.low_blocks();
         let last = self.wb.last_periodic.load(Ordering::Relaxed);
         let periodic_due = now.saturating_sub(last) >= self.cfg.periodic_wb_ns;
+        if !need_reclaim && !periodic_due {
+            return;
+        }
         if periodic_due {
             self.wb.last_periodic.store(now, Ordering::Relaxed);
         }
-        // Each shard's writeback actor runs at most MAX_LEAD ahead of the
-        // foreground: a real background thread shares wall time with its
-        // producers, and bounding the lead also re-anchors the actor after
-        // a timeline rebase (env.rebase() moves the foreground back to 0).
+        // The writeback actor runs at most MAX_LEAD, and never more than
+        // one wake-up period, ahead of the foreground: a real background
+        // thread shares wall time with its producers, work it would only
+        // reach after its next wake-up would already break the dirty-age
+        // promise, and bounding the lead also re-anchors the actor after a
+        // timeline rebase (env.rebase() moves the foreground back to 0).
         const MAX_LEAD: u64 = 20_000_000; // 20 ms
-        let mut ran = false;
-        for si in 0..self.shards.len() {
-            let need_reclaim = {
-                let sh = self.shards[si].lock();
-                sh.pool().free_count() < self.cfg.low_blocks_of(sh.pool().capacity())
-            };
-            if !need_reclaim && !periodic_due {
-                continue;
-            }
-            let wb_now = self.wb.clocks[si]
-                .load(Ordering::Relaxed)
-                .clamp(now, now + MAX_LEAD);
-            // The pass runs inline on the caller's thread but on the shard
-            // actor's own timeline: detach span attribution so its device
-            // time lands in the background row, not in whichever op
-            // triggered it.
-            let ((), end) = self
-                .dev()
-                .spans()
-                .detached(|| self.env.with_now(wb_now, || self.wb_pass_shard(si, wb_now)));
-            self.wb.clocks[si].store(end, Ordering::Relaxed);
-            ran = true;
-        }
-        if ran {
-            // Re-verify the invariants once per tick, not once per shard.
-            self.maybe_audit();
-        }
+        let lead = MAX_LEAD.min(self.cfg.periodic_wb_ns);
+        let wb_now = self.wb.clock.load(Ordering::Relaxed).clamp(now, now + lead);
+        // The pass runs inline on the caller's thread but on the writeback
+        // actor's own timeline: detach span attribution so its device time
+        // lands in the background row, not in whichever op triggered it.
+        let ((), end) = self
+            .dev()
+            .spans()
+            .detached(|| self.env.with_now(wb_now, || self.wb_pass(wb_now)));
+        self.wb.clock.store(end, Ordering::Relaxed);
     }
 
     /// Wakes the background threads (spin mode) or runs the actor
@@ -535,83 +520,130 @@ impl Hinfs {
     }
 
     fn flush_files(&self, blocking: bool, kind: DrainKind) -> Result<()> {
-        // Shards are visited in index order and inos sorted within each:
-        // flush order feeds the journal and the bandwidth-gate calendar,
-        // and HashMap order would make virtual time run-dependent.
-        for si in 0..self.shards.len() {
-            let mut inos: Vec<u64> = {
-                let sh = self.shards[si].lock();
-                sh.files.keys().copied().collect()
+        // Flush order feeds the journal and the bandwidth-gate calendar;
+        // HashMap order would make virtual time run-dependent.
+        let mut inos: Vec<u64> = self.shared.lock().files.keys().copied().collect();
+        inos.sort_unstable();
+        for ino in inos {
+            let Ok(handle) = self.inner.inode(ino) else {
+                continue;
             };
-            inos.sort_unstable();
-            for ino in inos {
-                let Ok(handle) = self.inner.inode(ino) else {
-                    continue;
-                };
-                let guard = if blocking {
-                    Some(handle.state.write())
-                } else {
-                    handle.state.try_write()
-                };
-                let Some(mut guard) = guard else {
-                    continue;
-                };
-                let mut sh = self.shards[si].lock();
-                let slots: Vec<u32> = match sh.files.get(&ino) {
-                    Some(f) => {
-                        let mut v = Vec::new();
-                        f.index.for_each(&mut |_, s| v.push(*s));
-                        v
-                    }
-                    None => continue,
-                };
-                for slot in slots {
-                    if sh.pool().meta(slot).dirty != 0 {
-                        match self.flush_slot_locked(&mut sh, slot, Some(&mut guard), kind)? {
-                            FlushTry::Done => {}
-                            FlushTry::NeedsInode(_) => {
-                                return Err(FsError::Corrupted("flush_all could not map block"))
-                            }
+            let guard = if blocking {
+                Some(handle.state.write())
+            } else {
+                handle.state.try_write()
+            };
+            let Some(mut guard) = guard else {
+                continue;
+            };
+            let mut sh = self.shared.lock();
+            let slots: Vec<u32> = match sh.files.get(&ino) {
+                Some(f) => {
+                    let mut v = Vec::new();
+                    f.index.for_each(&mut |_, s| v.push(*s));
+                    v
+                }
+                None => continue,
+            };
+            for slot in slots {
+                if sh.pool().meta(slot).dirty != 0 {
+                    match self.flush_slot_locked(&mut sh, slot, Some(&mut guard), kind)? {
+                        FlushTry::Done => {}
+                        FlushTry::NeedsInode(_) => {
+                            return Err(FsError::Corrupted("flush_all could not map block"))
                         }
                     }
                 }
-                if let Some(file) = sh.files.get_mut(&ino) {
-                    // All blocks are clean: no pending entry may gate a
-                    // commit.
-                    for t in &mut file.txs {
-                        t.pending.clear();
-                    }
-                    tracker::drain_ready(
-                        file,
-                        self.inner.journal(),
-                        self.obs.lineage(),
-                        kind,
-                        self.env.now(),
-                        &self.stats,
-                    );
-                    debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
+            }
+            if let Some(file) = sh.files.get_mut(&ino) {
+                // All blocks are clean: no pending entry may gate a commit.
+                for t in &mut file.txs {
+                    t.pending.clear();
                 }
+                tracker::drain_ready(
+                    file,
+                    self.inner.journal(),
+                    self.obs.lineage(),
+                    kind,
+                    self.env.now(),
+                    &self.stats,
+                );
+                debug_assert!(file.txs.is_empty(), "flush_all left open transactions");
+            }
+        }
+        // Every file's ordered transactions are committed now, so the ring
+        // has room for the inode cores a full journal kept a writeback
+        // allocation from logging.
+        let mut unlogged: Vec<u64> = self
+            .shared
+            .lock()
+            .files
+            .iter()
+            .filter(|(_, f)| f.inode_unlogged)
+            .map(|(&ino, _)| ino)
+            .collect();
+        unlogged.sort_unstable();
+        for ino in unlogged {
+            let Ok(handle) = self.inner.inode(ino) else {
+                continue;
+            };
+            let guard = if blocking {
+                Some(handle.state.write())
+            } else {
+                handle.state.try_write()
+            };
+            let Some(guard) = guard else {
+                continue;
+            };
+            let res = self.log_unlogged_inode(ino, &guard);
+            if blocking {
+                res?;
             }
         }
         Ok(())
     }
 
-    /// Total buffered dirty blocks across every shard (diagnostics).
+    /// Journals `ino`'s inode core if a writeback allocation grew its
+    /// block tree while the journal was full (see
+    /// [`crate::buffer::FileBuf::inode_unlogged`]). Until this runs, the
+    /// new tree root exists in DRAM only and the flushed blocks are
+    /// unreachable after a remount. Caller holds the inode lock, not the
+    /// pool lock, and no ordered transaction of the file is open.
+    pub(crate) fn log_unlogged_inode(&self, ino: u64, state: &InodeMem) -> Result<()> {
+        let unlogged = self
+            .shared
+            .lock()
+            .files
+            .get(&ino)
+            .is_some_and(|f| f.inode_unlogged);
+        if !unlogged {
+            return Ok(());
+        }
+        let journal = self.inner.journal();
+        let tx = journal.begin()?;
+        if let Err(e) = self.inner.log_write_inode(&tx, ino, state) {
+            journal.abort(tx);
+            return Err(e);
+        }
+        journal.commit(tx);
+        if let Some(file) = self.shared.lock().files.get_mut(&ino) {
+            file.inode_unlogged = false;
+        }
+        Ok(())
+    }
+
+    /// Buffered dirty blocks (diagnostics).
     pub fn dirty_blocks(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().dirty_blocks).sum()
+        self.shared.lock().dirty_blocks
     }
 
-    /// Free DRAM buffer blocks across every shard (diagnostics).
+    /// Free DRAM buffer blocks (diagnostics).
     pub fn free_buffer_blocks(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().pool().free_count())
-            .sum()
+        self.shared.lock().pool().free_count()
     }
 
-    /// Buffer capacity in blocks (sum of the shard pools).
+    /// Buffer capacity in blocks.
     pub fn buffer_capacity(&self) -> usize {
-        let _ = BLOCK_SIZE;
-        self.shards.iter().map(|s| s.lock().pool().capacity()).sum()
+        self.shared.lock().pool().capacity()
     }
 }

@@ -94,79 +94,10 @@ pub enum Site {
     /// NVMM write-bandwidth throttling: queueing delay charged by the
     /// bandwidth gate beyond pure service time.
     StallThrottle = 18,
-    /// `hinfs::Hinfs::shards[0]` — one shard of the DRAM buffer pool.
-    HinfsShard0 = 19,
-    /// `hinfs::Hinfs::shards[1]`.
-    HinfsShard1 = 20,
-    /// `hinfs::Hinfs::shards[2]`.
-    HinfsShard2 = 21,
-    /// `hinfs::Hinfs::shards[3]`.
-    HinfsShard3 = 22,
-    /// `hinfs::Hinfs::shards[4]`.
-    HinfsShard4 = 23,
-    /// `hinfs::Hinfs::shards[5]`.
-    HinfsShard5 = 24,
-    /// `hinfs::Hinfs::shards[6]`.
-    HinfsShard6 = 25,
-    /// `hinfs::Hinfs::shards[7]`.
-    HinfsShard7 = 26,
-    /// `pmfs::Allocator::shards[0]` — one shard of the block allocator.
-    PmfsAllocShard0 = 27,
-    /// `pmfs::Allocator::shards[1]`.
-    PmfsAllocShard1 = 28,
-    /// `pmfs::Allocator::shards[2]`.
-    PmfsAllocShard2 = 29,
-    /// `pmfs::Allocator::shards[3]`.
-    PmfsAllocShard3 = 30,
-    /// `pmfs::Allocator::shards[4]`.
-    PmfsAllocShard4 = 31,
-    /// `pmfs::Allocator::shards[5]`.
-    PmfsAllocShard5 = 32,
-    /// `pmfs::Allocator::shards[6]`.
-    PmfsAllocShard6 = 33,
-    /// `pmfs::Allocator::shards[7]`.
-    PmfsAllocShard7 = 34,
-    /// `pmfs::Pmfs::ns_shards[0]` — one shard of the namespace lock.
-    PmfsNsShard0 = 35,
-    /// `pmfs::Pmfs::ns_shards[1]`.
-    PmfsNsShard1 = 36,
-    /// `pmfs::Pmfs::ns_shards[2]`.
-    PmfsNsShard2 = 37,
-    /// `pmfs::Pmfs::ns_shards[3]`.
-    PmfsNsShard3 = 38,
-    /// `pmfs::Pmfs::ns_shards[4]`.
-    PmfsNsShard4 = 39,
-    /// `pmfs::Pmfs::ns_shards[5]`.
-    PmfsNsShard5 = 40,
-    /// `pmfs::Pmfs::ns_shards[6]`.
-    PmfsNsShard6 = 41,
-    /// `pmfs::Pmfs::ns_shards[7]`.
-    PmfsNsShard7 = 42,
-    /// `pmfs::InodeCache::shards[0]` — one shard of the inode map.
-    PmfsInodeShard0 = 43,
-    /// `pmfs::InodeCache::shards[1]`.
-    PmfsInodeShard1 = 44,
-    /// `pmfs::InodeCache::shards[2]`.
-    PmfsInodeShard2 = 45,
-    /// `pmfs::InodeCache::shards[3]`.
-    PmfsInodeShard3 = 46,
-    /// `pmfs::InodeCache::shards[4]`.
-    PmfsInodeShard4 = 47,
-    /// `pmfs::InodeCache::shards[5]`.
-    PmfsInodeShard5 = 48,
-    /// `pmfs::InodeCache::shards[6]`.
-    PmfsInodeShard6 = 49,
-    /// `pmfs::InodeCache::shards[7]`.
-    PmfsInodeShard7 = 50,
 }
 
 /// Number of [`Site`] variants.
-pub const NSITES: usize = 51;
-
-/// Shard fan-out of the sharded subsystems. Every shard-indexed site
-/// family below has exactly this many members, so `Site::hinfs_shard(i)`
-/// and friends are total for any `i` (reduced mod `NSHARDS`).
-pub const NSHARDS: usize = 8;
+pub const NSITES: usize = 19;
 
 /// All sites in discriminant order.
 pub const ALL_SITES: [Site; NSITES] = [
@@ -189,86 +120,6 @@ pub const ALL_SITES: [Site; NSITES] = [
     Site::StallWriteback,
     Site::StallJournalFull,
     Site::StallThrottle,
-    Site::HinfsShard0,
-    Site::HinfsShard1,
-    Site::HinfsShard2,
-    Site::HinfsShard3,
-    Site::HinfsShard4,
-    Site::HinfsShard5,
-    Site::HinfsShard6,
-    Site::HinfsShard7,
-    Site::PmfsAllocShard0,
-    Site::PmfsAllocShard1,
-    Site::PmfsAllocShard2,
-    Site::PmfsAllocShard3,
-    Site::PmfsAllocShard4,
-    Site::PmfsAllocShard5,
-    Site::PmfsAllocShard6,
-    Site::PmfsAllocShard7,
-    Site::PmfsNsShard0,
-    Site::PmfsNsShard1,
-    Site::PmfsNsShard2,
-    Site::PmfsNsShard3,
-    Site::PmfsNsShard4,
-    Site::PmfsNsShard5,
-    Site::PmfsNsShard6,
-    Site::PmfsNsShard7,
-    Site::PmfsInodeShard0,
-    Site::PmfsInodeShard1,
-    Site::PmfsInodeShard2,
-    Site::PmfsInodeShard3,
-    Site::PmfsInodeShard4,
-    Site::PmfsInodeShard5,
-    Site::PmfsInodeShard6,
-    Site::PmfsInodeShard7,
-];
-
-/// The hinfs buffer-pool shard sites, in shard order.
-pub const HINFS_SHARD_SITES: [Site; NSHARDS] = [
-    Site::HinfsShard0,
-    Site::HinfsShard1,
-    Site::HinfsShard2,
-    Site::HinfsShard3,
-    Site::HinfsShard4,
-    Site::HinfsShard5,
-    Site::HinfsShard6,
-    Site::HinfsShard7,
-];
-
-/// The pmfs allocator shard sites, in shard order.
-pub const PMFS_ALLOC_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsAllocShard0,
-    Site::PmfsAllocShard1,
-    Site::PmfsAllocShard2,
-    Site::PmfsAllocShard3,
-    Site::PmfsAllocShard4,
-    Site::PmfsAllocShard5,
-    Site::PmfsAllocShard6,
-    Site::PmfsAllocShard7,
-];
-
-/// The pmfs namespace shard sites, in shard order.
-pub const PMFS_NS_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsNsShard0,
-    Site::PmfsNsShard1,
-    Site::PmfsNsShard2,
-    Site::PmfsNsShard3,
-    Site::PmfsNsShard4,
-    Site::PmfsNsShard5,
-    Site::PmfsNsShard6,
-    Site::PmfsNsShard7,
-];
-
-/// The pmfs inode-map shard sites, in shard order.
-pub const PMFS_INODE_SHARD_SITES: [Site; NSHARDS] = [
-    Site::PmfsInodeShard0,
-    Site::PmfsInodeShard1,
-    Site::PmfsInodeShard2,
-    Site::PmfsInodeShard3,
-    Site::PmfsInodeShard4,
-    Site::PmfsInodeShard5,
-    Site::PmfsInodeShard6,
-    Site::PmfsInodeShard7,
 ];
 
 impl Site {
@@ -294,59 +145,7 @@ impl Site {
             Site::StallWriteback => "stall.writeback",
             Site::StallJournalFull => "stall.journal_full",
             Site::StallThrottle => "stall.throttle",
-            Site::HinfsShard0 => "hinfs.shard0",
-            Site::HinfsShard1 => "hinfs.shard1",
-            Site::HinfsShard2 => "hinfs.shard2",
-            Site::HinfsShard3 => "hinfs.shard3",
-            Site::HinfsShard4 => "hinfs.shard4",
-            Site::HinfsShard5 => "hinfs.shard5",
-            Site::HinfsShard6 => "hinfs.shard6",
-            Site::HinfsShard7 => "hinfs.shard7",
-            Site::PmfsAllocShard0 => "pmfs.alloc_shard0",
-            Site::PmfsAllocShard1 => "pmfs.alloc_shard1",
-            Site::PmfsAllocShard2 => "pmfs.alloc_shard2",
-            Site::PmfsAllocShard3 => "pmfs.alloc_shard3",
-            Site::PmfsAllocShard4 => "pmfs.alloc_shard4",
-            Site::PmfsAllocShard5 => "pmfs.alloc_shard5",
-            Site::PmfsAllocShard6 => "pmfs.alloc_shard6",
-            Site::PmfsAllocShard7 => "pmfs.alloc_shard7",
-            Site::PmfsNsShard0 => "pmfs.ns_shard0",
-            Site::PmfsNsShard1 => "pmfs.ns_shard1",
-            Site::PmfsNsShard2 => "pmfs.ns_shard2",
-            Site::PmfsNsShard3 => "pmfs.ns_shard3",
-            Site::PmfsNsShard4 => "pmfs.ns_shard4",
-            Site::PmfsNsShard5 => "pmfs.ns_shard5",
-            Site::PmfsNsShard6 => "pmfs.ns_shard6",
-            Site::PmfsNsShard7 => "pmfs.ns_shard7",
-            Site::PmfsInodeShard0 => "pmfs.inode_shard0",
-            Site::PmfsInodeShard1 => "pmfs.inode_shard1",
-            Site::PmfsInodeShard2 => "pmfs.inode_shard2",
-            Site::PmfsInodeShard3 => "pmfs.inode_shard3",
-            Site::PmfsInodeShard4 => "pmfs.inode_shard4",
-            Site::PmfsInodeShard5 => "pmfs.inode_shard5",
-            Site::PmfsInodeShard6 => "pmfs.inode_shard6",
-            Site::PmfsInodeShard7 => "pmfs.inode_shard7",
         }
-    }
-
-    /// The buffer-pool shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn hinfs_shard(i: usize) -> Site {
-        HINFS_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The allocator shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_alloc_shard(i: usize) -> Site {
-        PMFS_ALLOC_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The namespace shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_ns_shard(i: usize) -> Site {
-        PMFS_NS_SHARD_SITES[i % NSHARDS]
-    }
-
-    /// The inode-map shard site for shard index `i` (mod [`NSHARDS`]).
-    pub fn pmfs_inode_shard(i: usize) -> Site {
-        PMFS_INODE_SHARD_SITES[i % NSHARDS]
     }
 
     /// Snake-case form of [`Site::label`] for metric names.

@@ -13,7 +13,7 @@
 //!   different number of journal entries all count as distinct points.
 //! - **Site** ([`CoverageDomain::Site`]): contention-site first-hits — a
 //!   lock or stall identity acquired (and separately, contended) for the
-//!   first time, so shard-colliding inode choices score.
+//!   first time, so scripts that reach a new lock or stall score.
 //! - **State** ([`CoverageDomain::State`]): invariant-auditor /
 //!   introspection state classes derived from an [`FsSnapshot`] —
 //!   watermark region, journal fill bucket, Eager/Lazy/ghost population

@@ -6,8 +6,8 @@
 //! A [`FlightRecorder`] keeps, for the slowest operations of each
 //! [`OpKind`], a full [`FlightRecord`]: per-phase exclusive ns, per-site
 //! lock-wait ns, stall events, fence and persisted-byte counts, the
-//! buffer-pool shard the op hit, the group-commit batch it rode in, and
-//! the trace-ring seq range covering its lifetime. Records double as
+//! group-commit batch it rode in, and the trace-ring seq range covering
+//! its lifetime. Records double as
 //! *exemplars* for the latency histograms — [`FlightSnapshot::cohort`]
 //! selects the records whose latency falls in the p99/p999 buckets, so a
 //! tail quantile links to concrete anatomies.
@@ -45,9 +45,6 @@ pub const FLIGHT_TOPK: usize = 8;
 /// Records kept per op kind after merging the collection shards.
 pub const FLIGHT_MERGED_TOPK: usize = 16;
 
-/// Shard id meaning "this op touched no buffer-pool shard".
-pub const NO_SHARD: u32 = u32::MAX;
-
 /// The complete anatomy of one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightRecord {
@@ -57,9 +54,6 @@ pub struct FlightRecord {
     pub at_ns: u64,
     /// Total op latency, simulated ns.
     pub total_ns: u64,
-    /// Buffer-pool / allocator shard the op touched last, or
-    /// [`NO_SHARD`].
-    pub shard: u32,
     /// Largest group-commit batch flushed inside the op (0 = none).
     pub batch: u32,
     /// Store fences issued while the op was in flight.
@@ -90,7 +84,6 @@ impl FlightRecord {
         op: OpKind::Open,
         at_ns: 0,
         total_ns: 0,
-        shard: NO_SHARD,
         batch: 0,
         fences: 0,
         fences_coalesced: 0,
@@ -227,16 +220,6 @@ pub fn note_persisted(bytes: u64) {
         return;
     }
     FRAME.with(|f| f.borrow_mut().rec.persisted_bytes += bytes);
-}
-
-/// Books the buffer-pool / allocator shard the op is touching
-/// (last-wins; most ops touch exactly one).
-#[inline]
-pub fn note_shard(shard: u32) {
-    if !ACTIVE.get() {
-        return;
-    }
-    FRAME.with(|f| f.borrow_mut().rec.shard = shard);
 }
 
 /// Books a group-commit batch of `n` transactions flushed inside the op
@@ -594,7 +577,6 @@ mod tests {
         note_fence(1);
         note_fence(4); // one fence covering a 4-tx group commit
         note_persisted(256);
-        note_shard(3);
         note_batch(4);
         note_batch(2);
         fl.finish(1000, 11);
@@ -615,7 +597,6 @@ mod tests {
         assert_eq!(r.fences, 2);
         assert_eq!(r.fences_coalesced, 3);
         assert_eq!(r.persisted_bytes, 256);
-        assert_eq!(r.shard, 3);
         assert_eq!(r.batch, 4);
         assert_eq!(
             r.top_phases(2),

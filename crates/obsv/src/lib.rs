@@ -29,13 +29,12 @@ mod trace;
 pub use contention::{
     ContentionSnapshot, ContentionTable, Level, Site, SiteSnapshot, TrackedCondvar, TrackedMutex,
     TrackedMutexGuard, TrackedReadGuard, TrackedRwLock, TrackedWriteGuard, WaitTimeoutResult,
-    ALL_SITES, HINFS_SHARD_SITES, NSHARDS, NSITES, PMFS_ALLOC_SHARD_SITES, PMFS_INODE_SHARD_SITES,
-    PMFS_NS_SHARD_SITES,
+    ALL_SITES, NSITES,
 };
 pub use coverage::{mag_bucket, CoverageDomain, CoverageMap, COVERAGE_DOMAINS};
 pub use flight::{
-    note_batch, note_fence, note_persisted, note_shard, FlightRecord, FlightRecorder,
-    FlightSnapshot, TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK, NO_SHARD,
+    note_batch, note_fence, note_persisted, FlightRecord, FlightRecorder, FlightSnapshot,
+    TailAnatomy, FLIGHT_MERGED_TOPK, FLIGHT_TOPK,
 };
 pub use histo::{
     bucket_lower, bucket_of, bucket_upper, Histo, HistoSnapshot, N_BUCKETS, SUB_BUCKETS,

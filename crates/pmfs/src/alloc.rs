@@ -5,244 +5,155 @@
 //! bitmap is rebuilt at mount by walking the inode table and every file's
 //! block tree, so block allocation never needs journaling — an allocated
 //! but unreachable block simply returns to the free pool on recovery.
-//!
-//! Since PR 7 the data area is split into [`NSHARDS`] contiguous segments,
-//! each guarded by its own lock (in the style of llfree-rs per-CPU trees):
-//! `alloc` round-robins a preferred shard and *steals* from the next shard
-//! in index order when the preferred one is empty, so concurrent writers
-//! rarely collide on one lock while exhaustion still drains every segment.
-//! `free`/`mark_used` route by block number to the owning segment. The
-//! persisted image is still one global bitmap, bit-compatible with the
-//! pre-sharding format.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fskit::{FsError, Result};
 use nvmm::{Cat, NvmmDevice, BLOCK_SIZE};
-use obsv::{Site, TrackedMutex, NSHARDS};
+use obsv::{Site, TrackedMutex};
 
 use crate::layout::Layout;
 
 #[derive(Debug)]
-struct Shard {
-    /// One bit per block of this shard's segment; set = in use.
+struct Inner {
+    /// One bit per device block; set = in use. Metadata blocks (below
+    /// `data_start`) are always set.
     bitmap: Vec<u64>,
     free: u64,
-    /// Next absolute block to try (min-reset on free).
+    /// Next block to try (min-reset on free).
     hint: u64,
-    /// Absolute segment bounds `[start, end)`.
-    start: u64,
-    end: u64,
+    data_start: u64,
+    total_blocks: u64,
 }
 
-impl Shard {
-    fn new_segment(start: u64, end: u64) -> Shard {
-        let nblocks = (end - start) as usize;
-        Shard {
-            bitmap: vec![0u64; nblocks.div_ceil(64)],
-            free: end - start,
-            hint: start,
-            start,
-            end,
-        }
-    }
-
+impl Inner {
     fn get(&self, b: u64) -> bool {
-        let i = (b - self.start) as usize;
-        self.bitmap[i / 64] & (1 << (i % 64)) != 0
+        self.bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0
     }
 
     fn set(&mut self, b: u64) {
-        let i = (b - self.start) as usize;
-        self.bitmap[i / 64] |= 1 << (i % 64);
+        self.bitmap[(b / 64) as usize] |= 1 << (b % 64);
     }
 
     fn clear(&mut self, b: u64) {
-        let i = (b - self.start) as usize;
-        self.bitmap[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Allocates one block from this segment, or `None` when empty.
-    fn alloc_one(&mut self) -> Option<u64> {
-        if self.free == 0 {
-            return None;
-        }
-        let start = self.hint.clamp(self.start, self.end - 1);
-        let mut b = start;
-        loop {
-            if !self.get(b) {
-                self.set(b);
-                self.free -= 1;
-                self.hint = if b + 1 < self.end { b + 1 } else { self.start };
-                return Some(b);
-            }
-            b += 1;
-            if b >= self.end {
-                b = self.start;
-            }
-            if b == start {
-                // `free` said there was space; the bitmap disagrees.
-                return None;
-            }
-        }
+        self.bitmap[(b / 64) as usize] &= !(1 << (b % 64));
     }
 }
 
-/// DRAM-resident block allocator over the data area, sharded into
-/// [`NSHARDS`] independently locked segments.
+/// DRAM-resident block allocator over the data area: one free list (the
+/// bitmap) behind one lock.
 #[derive(Debug)]
 pub struct Allocator {
-    shards: Vec<TrackedMutex<Shard>>,
-    /// Round-robin cursor picking the preferred shard of the next `alloc`.
-    next: AtomicUsize,
-    data_start: u64,
-    total_blocks: u64,
+    inner: TrackedMutex<Inner>,
     /// Device whose fault-injection hook is consulted on `alloc` (attached
     /// at mount; absent in unit tests that build the allocator bare).
     fault_dev: std::sync::OnceLock<std::sync::Arc<NvmmDevice>>,
 }
 
-/// Absolute bounds `[start, end)` of shard `i` over the data area.
-fn segment(layout_data_start: u64, total_blocks: u64, i: usize) -> (u64, u64) {
-    let data_blocks = total_blocks - layout_data_start;
-    let per = data_blocks.div_ceil(NSHARDS as u64);
-    let start = layout_data_start + per * i as u64;
-    let end = (start + per).min(total_blocks);
-    (start.min(total_blocks), end)
-}
-
 impl Allocator {
-    /// Creates an allocator with every data block free. Metadata blocks
-    /// (superblock, journal, inode table, bitmap image) sit below
-    /// `data_start`, outside every shard, and are implicitly in use.
+    /// Creates an allocator with every data block free and every metadata
+    /// block (superblock, journal, inode table, bitmap image) in use.
     pub fn new_empty(layout: &Layout) -> Allocator {
-        Allocator::from_bits(layout.data_start, layout.total_blocks, |_| false)
+        Allocator::from_bits(layout, |_| false)
     }
 
-    /// Builds the shard array, marking block `b` used when `used(b)`.
-    fn from_bits(data_start: u64, total_blocks: u64, used: impl Fn(u64) -> bool) -> Allocator {
-        let shards = (0..NSHARDS)
-            .map(|i| {
-                let (start, end) = segment(data_start, total_blocks, i);
-                let mut s = Shard::new_segment(start, end);
-                for b in start..end {
-                    if used(b) {
-                        s.set(b);
-                        s.free -= 1;
-                    }
-                }
-                TrackedMutex::new(Site::pmfs_alloc_shard(i), s)
-            })
-            .collect();
+    /// Builds the allocator, marking data block `b` used when `used(b)`.
+    fn from_bits(layout: &Layout, used: impl Fn(u64) -> bool) -> Allocator {
+        let mut inner = Inner {
+            bitmap: vec![0u64; (layout.total_blocks as usize).div_ceil(64)],
+            free: 0,
+            hint: layout.data_start,
+            data_start: layout.data_start,
+            total_blocks: layout.total_blocks,
+        };
+        for b in 0..layout.total_blocks {
+            if b < layout.data_start || used(b) {
+                inner.set(b);
+            } else {
+                inner.free += 1;
+            }
+        }
         Allocator {
-            shards,
-            next: AtomicUsize::new(0),
-            data_start,
-            total_blocks,
+            inner: TrackedMutex::new(Site::PmfsAlloc, inner),
             fault_dev: std::sync::OnceLock::new(),
         }
     }
 
     /// Attaches the device whose fault-injection plan `alloc` consults
-    /// (ENOSPC injection), and wires every shard lock to the device's
+    /// (ENOSPC injection), and wires the allocator's lock to the device's
     /// contention profiler. Later calls are ignored.
     pub fn attach_fault_device(&self, dev: std::sync::Arc<NvmmDevice>) {
-        for shard in &self.shards {
-            shard.attach(dev.contention());
-        }
+        self.inner.attach(dev.contention());
         let _ = self.fault_dev.set(dev);
     }
 
-    /// Index of the shard owning block `blk`.
-    fn shard_of(&self, blk: u64) -> usize {
-        debug_assert!(blk >= self.data_start && blk < self.total_blocks);
-        let per = (self.total_blocks - self.data_start).div_ceil(NSHARDS as u64);
-        (((blk - self.data_start) / per) as usize).min(NSHARDS - 1)
-    }
-
     /// Allocates one block, returning its absolute block number.
-    ///
-    /// Round-robins a preferred shard, then steals from the following
-    /// shards in index order when the preferred segment is empty.
     pub fn alloc(&self) -> Result<u64> {
         if let Some(dev) = self.fault_dev.get() {
             if nvmm::fault::alloc_blocked(dev) {
                 return Err(FsError::NoSpace);
             }
         }
-        let preferred = self.next.fetch_add(1, Ordering::Relaxed) % NSHARDS;
-        for k in 0..NSHARDS {
-            let idx = (preferred + k) % NSHARDS;
-            let mut shard = self.shards[idx].lock();
-            if let Some(b) = shard.alloc_one() {
+        let mut inner = self.inner.lock();
+        if inner.free == 0 {
+            return Err(FsError::NoSpace);
+        }
+        let (lo, hi) = (inner.data_start, inner.total_blocks);
+        let start = inner.hint.clamp(lo, hi - 1);
+        let mut b = start;
+        loop {
+            if !inner.get(b) {
+                inner.set(b);
+                inner.free -= 1;
+                inner.hint = if b + 1 < hi { b + 1 } else { lo };
                 return Ok(b);
             }
+            b = if b + 1 < hi { b + 1 } else { lo };
+            if b == start {
+                // `free` said there was space; the bitmap disagrees.
+                return Err(FsError::Corrupted("allocator free count"));
+            }
         }
-        Err(FsError::NoSpace)
     }
 
-    /// Returns a block to the free pool of its owning shard.
+    /// Returns a block to the free pool.
     ///
     /// # Panics
     ///
     /// Panics if the block is not currently allocated or is a metadata
     /// block (double free / corruption bugs should fail loudly in tests).
     pub fn free(&self, blk: u64) {
+        let mut inner = self.inner.lock();
         assert!(
-            blk >= self.data_start && blk < self.total_blocks,
+            blk >= inner.data_start && blk < inner.total_blocks,
             "freeing non-data block {blk}"
         );
-        let mut shard = self.shards[self.shard_of(blk)].lock();
-        assert!(shard.get(blk), "double free of block {blk}");
-        shard.clear(blk);
-        shard.free += 1;
-        shard.hint = shard.hint.min(blk);
+        assert!(inner.get(blk), "double free of block {blk}");
+        inner.clear(blk);
+        inner.free += 1;
+        inner.hint = inner.hint.min(blk);
     }
 
     /// Marks a block as in use during the recovery walk. Metadata blocks
     /// (below the data area) are always in use and are ignored.
     pub fn mark_used(&self, blk: u64) {
-        assert!(blk < self.total_blocks, "mark_used out of range: {blk}");
-        if blk < self.data_start {
-            return;
-        }
-        let mut shard = self.shards[self.shard_of(blk)].lock();
-        if !shard.get(blk) {
-            shard.set(blk);
-            shard.free -= 1;
+        let mut inner = self.inner.lock();
+        assert!(blk < inner.total_blocks, "mark_used out of range: {blk}");
+        if !inner.get(blk) {
+            inner.set(blk);
+            inner.free -= 1;
         }
     }
 
-    /// Number of free data blocks across all shards.
+    /// Number of free data blocks.
     pub fn free_blocks(&self) -> u64 {
-        self.shards.iter().map(|s| s.lock().free).sum()
-    }
-
-    /// Free data blocks per shard, in shard order (diagnostics).
-    pub fn free_blocks_by_shard(&self) -> Vec<u64> {
-        self.shards.iter().map(|s| s.lock().free).collect()
+        self.inner.lock().free
     }
 
     /// Persists the bitmap image into the layout's bitmap region (clean
-    /// unmount). The image is one global bitmap — bit-compatible with the
-    /// pre-sharding on-device format.
+    /// unmount).
     pub fn persist(&self, dev: &NvmmDevice, layout: &Layout) {
-        let words = (self.total_blocks as usize).div_ceil(64);
-        let mut bitmap = vec![0u64; words];
-        let mut set = |b: u64| bitmap[(b / 64) as usize] |= 1 << (b % 64);
-        for b in 0..self.data_start {
-            set(b);
-        }
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for b in shard.start..shard.end {
-                if shard.get(b) {
-                    set(b);
-                }
-            }
-        }
-        let mut bytes: Vec<u8> = Vec::with_capacity(words * 8);
-        for w in &bitmap {
+        let inner = self.inner.lock();
+        let mut bytes: Vec<u8> = Vec::with_capacity(inner.bitmap.len() * 8);
+        for w in &inner.bitmap {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
         bytes.resize(layout.bitmap_blocks as usize * BLOCK_SIZE, 0);
@@ -250,8 +161,7 @@ impl Allocator {
         dev.sfence();
     }
 
-    /// Loads the persisted bitmap image (mount after clean unmount),
-    /// partitioning it back into shard segments.
+    /// Loads the persisted bitmap image (mount after clean unmount).
     pub fn load(dev: &NvmmDevice, layout: &Layout) -> Allocator {
         let words = (layout.total_blocks as usize).div_ceil(64);
         let mut bytes = vec![0u8; words * 8];
@@ -264,9 +174,7 @@ impl Allocator {
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect();
-        Allocator::from_bits(layout.data_start, layout.total_blocks, |b| {
-            bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0
-        })
+        Allocator::from_bits(layout, |b| bitmap[(b / 64) as usize] & (1 << (b % 64)) != 0)
     }
 }
 
@@ -295,33 +203,16 @@ mod tests {
         assert_eq!(a.free_blocks(), initial - 2);
         a.free(b1);
         assert_eq!(a.free_blocks(), initial - 1);
-        // The freed block becomes allocatable again once the round-robin
-        // cursor comes back to its shard.
-        let mut seen = Vec::new();
-        for _ in 0..NSHARDS {
-            seen.push(a.alloc().unwrap());
-        }
-        assert!(seen.contains(&b1), "freed block not reallocated: {seen:?}");
+        // The hint resets to the lowest freed block: it is handed out next.
+        assert_eq!(a.alloc().unwrap(), b1);
     }
 
     #[test]
-    fn round_robin_spreads_across_segments() {
-        let (_, layout) = setup();
-        let a = Allocator::new_empty(&layout);
-        let picks: Vec<u64> = (0..NSHARDS).map(|_| a.alloc().unwrap()).collect();
-        let shards: std::collections::HashSet<usize> =
-            picks.iter().map(|&b| a.shard_of(b)).collect();
-        assert_eq!(shards.len(), NSHARDS, "picks should hit every shard");
-    }
-
-    #[test]
-    fn exhaustion_steals_then_returns_nospace() {
+    fn exhaustion_returns_nospace() {
         let (_, layout) = setup();
         let a = Allocator::new_empty(&layout);
         let mut seen = std::collections::HashSet::new();
         for _ in 0..layout.data_blocks() {
-            // Every allocation must be unique: the tail of the run drains
-            // non-preferred shards through the steal path.
             assert!(seen.insert(a.alloc().unwrap()), "duplicate block");
         }
         assert_eq!(a.alloc(), Err(FsError::NoSpace));

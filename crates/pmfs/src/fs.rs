@@ -1,18 +1,12 @@
 //! The PMFS file system object: mount/mkfs/recovery, the namespace, and the
 //! [`FileSystem`] implementation.
 //!
-//! Locking model (documented order):
+//! Locking model (documented order, coarse on purpose — metadata operations
+//! are not the bottleneck the paper studies):
 //!
-//! 1. `ns_shards` — namespace mutations (create, unlink, mkdir, rmdir,
-//!    rename) lock the shard keyed by the *(parent inode, entry name)*
-//!    pair they mutate, so racing operations on the same entry serialize
-//!    while operations on different entries proceed in parallel. Rename
-//!    locks its two shards in ascending index order. Cross-entry races
-//!    (creating inside a directory that is concurrently removed) are
-//!    resolved by the directory's own inode lock: `rmdir` holds the dead
-//!    directory's write lock from the emptiness check through
-//!    `nlink = 0`, and every entry mutation re-checks `nlink` under the
-//!    parent's lock.
+//! 1. `ns` — one mutex serializing namespace mutations (create, unlink,
+//!    mkdir, rmdir, rename), taken before their path resolution, so a
+//!    resolved parent directory cannot be removed underneath them.
 //! 2. per-inode `RwLock` — protects file size, block tree and data I/O.
 //!    Never hold two except child-then-parent in `rmdir`, which always
 //!    follows tree depth upward (no cycles).
@@ -73,7 +67,7 @@ pub struct Pmfs {
     alloc: Allocator,
     icache: InodeCache,
     fds: FdTable<OpenFile>,
-    ns_shards: Vec<TrackedMutex<()>>,
+    ns: TrackedMutex<()>,
     recovery: RecoveryStats,
     obs: Arc<FsObs>,
 }
@@ -119,9 +113,7 @@ impl Pmfs {
         obs.set_spans(dev.spans().clone());
         let fds = FdTable::new();
         fds.attach_contention(dev.contention());
-        let ns_shards = (0..obsv::NSHARDS)
-            .map(|i| TrackedMutex::attached(dev.contention(), Site::pmfs_ns_shard(i), ()))
-            .collect();
+        let ns = TrackedMutex::attached(dev.contention(), Site::PmfsNamespace, ());
         Ok(Arc::new(Pmfs {
             dev,
             env,
@@ -130,7 +122,7 @@ impl Pmfs {
             alloc,
             icache,
             fds,
-            ns_shards,
+            ns,
             recovery,
             obs,
         }))
@@ -248,21 +240,6 @@ impl Pmfs {
 
     // ----- namespace internals -----
 
-    /// Namespace shard index for entry `name` under directory
-    /// `parent_ino` (FNV-style fold; any deterministic spread works).
-    fn ns_shard(&self, parent_ino: u64, name: &str) -> usize {
-        let mut h = parent_ino ^ 0x9E37_79B9_7F4A_7C15;
-        for b in name.bytes() {
-            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01B3);
-        }
-        (h % self.ns_shards.len() as u64) as usize
-    }
-
-    /// Locks the namespace shard guarding `(parent_ino, name)`.
-    fn lock_ns<'a>(&'a self, parent_ino: u64, name: &str) -> obsv::TrackedMutexGuard<'a, ()> {
-        self.ns_shards[self.ns_shard(parent_ino, name)].lock()
-    }
-
     fn resolve(&self, comps: &[&str]) -> Result<Arc<InodeHandle>> {
         let mut h = self.inode(ROOT_INO)?;
         for comp in comps {
@@ -302,11 +279,6 @@ impl Pmfs {
         let res = (|| -> Result<()> {
             self.log_write_inode(&tx, ino, &mem)?;
             let mut pstate = parent.state.write();
-            if pstate.ftype != FileType::Dir || pstate.nlink == 0 {
-                // The parent was removed between resolution and the
-                // shard lock (different entries, different shards).
-                return Err(FsError::NotFound);
-            }
             dir::add(
                 &self.dev,
                 &self.journal,
@@ -401,14 +373,11 @@ impl Pmfs {
         }
     }
 
-    /// Unlink of `name` under `parent`, with the entry's namespace shard
-    /// already held (also used by rename's replace path).
+    /// Unlink of `name` under `parent`, with the namespace lock already
+    /// held (also used by rename's replace path).
     fn unlink_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
         let (ino, ftype) = {
             let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
             dir::lookup(&self.dev, &pstate, name)?.ok_or(FsError::NotFound)?
         };
         if ftype != FileType::File {
@@ -461,14 +430,11 @@ impl Pmfs {
         }
     }
 
-    /// Rmdir of `name` under `parent`, with the entry's namespace shard
-    /// already held.
+    /// Rmdir of `name` under `parent`, with the namespace lock already
+    /// held.
     fn rmdir_at(&self, parent: &Arc<InodeHandle>, name: &str) -> Result<()> {
         let (ino, ftype) = {
             let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
             dir::lookup(&self.dev, &pstate, name)?.ok_or(FsError::NotFound)?
         };
         if ftype != FileType::Dir {
@@ -477,16 +443,9 @@ impl Pmfs {
         let child = self.inode(ino)?;
         let tx = self.journal.begin()?;
         let res = (|| -> Result<()> {
-            // Hold the dying directory's write lock from the emptiness
-            // check through `nlink = 0`: a concurrent create into it
-            // either lands first (seen here as DirectoryNotEmpty) or
-            // observes the dead directory under its own parent lock.
             // Child-then-parent nesting always follows tree depth upward,
-            // so it cannot deadlock against another rmdir.
+            // so it cannot deadlock.
             let mut cstate = child.state.write();
-            if cstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
             if !dir::is_empty(&self.dev, &cstate)? {
                 return Err(FsError::DirectoryNotEmpty);
             }
@@ -529,16 +488,13 @@ impl FileSystem for Pmfs {
     fn open(&self, path: &str, flags: OpenFlags) -> Result<Fd> {
         self.timed(OpKind::Open, || {
             self.env.charge_syscall();
+            let _ns = self.ns.lock();
             let (parent, name) = self.resolve_parent(path)?;
             fskit::path::validate_name(name)?;
-            let _ns = self.lock_ns(parent.ino, name);
             let existing = {
                 let pstate = parent.state.read();
                 if pstate.ftype != FileType::Dir {
                     return Err(FsError::NotADirectory);
-                }
-                if pstate.nlink == 0 {
-                    return Err(FsError::NotFound);
                 }
                 dir::lookup(&self.dev, &pstate, name)?
             };
@@ -750,22 +706,19 @@ impl FileSystem for Pmfs {
     fn unlink(&self, path: &str) -> Result<()> {
         self.timed(OpKind::Unlink, || {
             self.env.charge_syscall();
+            let _ns = self.ns.lock();
             let (parent, name) = self.resolve_parent(path)?;
-            let _ns = self.lock_ns(parent.ino, name);
             self.unlink_at(&parent, name)
         })
     }
 
     fn mkdir(&self, path: &str) -> Result<()> {
         self.env.charge_syscall();
+        let _ns = self.ns.lock();
         let (parent, name) = self.resolve_parent(path)?;
         fskit::path::validate_name(name)?;
-        let _ns = self.lock_ns(parent.ino, name);
         {
             let pstate = parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
             if dir::lookup(&self.dev, &pstate, name)?.is_some() {
                 return Err(FsError::AlreadyExists);
             }
@@ -776,8 +729,8 @@ impl FileSystem for Pmfs {
 
     fn rmdir(&self, path: &str) -> Result<()> {
         self.env.charge_syscall();
+        let _ns = self.ns.lock();
         let (parent, name) = self.resolve_parent(path)?;
-        let _ns = self.lock_ns(parent.ino, name);
         self.rmdir_at(&parent, name)
     }
 
@@ -823,21 +776,12 @@ impl FileSystem for Pmfs {
 
     fn rename(&self, from: &str, to: &str) -> Result<()> {
         self.env.charge_syscall();
+        let _ns = self.ns.lock();
         let (src_parent, src_name) = self.resolve_parent(from)?;
         let (dst_parent, dst_name) = self.resolve_parent(to)?;
         fskit::path::validate_name(dst_name)?;
-        // Lock both entries' shards in ascending index order (one lock
-        // when they collide) so concurrent renames cannot deadlock.
-        let si = self.ns_shard(src_parent.ino, src_name);
-        let di = self.ns_shard(dst_parent.ino, dst_name);
-        let (lo, hi) = (si.min(di), si.max(di));
-        let _ns_lo = self.ns_shards[lo].lock();
-        let _ns_hi = (hi != lo).then(|| self.ns_shards[hi].lock());
         let (ino, ftype) = {
             let pstate = src_parent.state.read();
-            if pstate.nlink == 0 {
-                return Err(FsError::NotFound);
-            }
             dir::lookup(&self.dev, &pstate, src_name)?.ok_or(FsError::NotFound)?
         };
         // Replace semantics for an existing destination.

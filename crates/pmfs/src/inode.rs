@@ -107,14 +107,9 @@ pub struct InodeHandle {
 }
 
 /// Cache of in-memory inode handles plus the free-slot list.
-///
-/// The handle map is sharded by `ino % NSHARDS` so concurrent lookups of
-/// different inodes don't collide on one lock; the free-slot list stays a
-/// single stack (allocation order matters for low-numbers-first tests and
-/// deterministic replays) under the legacy `pmfs.inode_map` site.
 #[derive(Debug)]
 pub struct InodeCache {
-    shards: Vec<TrackedMutex<HashMap<u64, Arc<InodeHandle>>>>,
+    map: TrackedMutex<HashMap<u64, Arc<InodeHandle>>>,
     free_slots: TrackedMutex<Vec<u64>>,
 }
 
@@ -132,17 +127,10 @@ impl InodeCache {
             }
         }
         let contention = dev.contention();
-        let shards = (0..obsv::NSHARDS)
-            .map(|i| TrackedMutex::attached(contention, Site::pmfs_inode_shard(i), HashMap::new()))
-            .collect();
         Ok(InodeCache {
-            shards,
+            map: TrackedMutex::attached(contention, Site::PmfsInodeMap, HashMap::new()),
             free_slots: TrackedMutex::attached(contention, Site::PmfsInodeMap, free),
         })
-    }
-
-    fn shard(&self, ino: u64) -> &TrackedMutex<HashMap<u64, Arc<InodeHandle>>> {
-        &self.shards[(ino % obsv::NSHARDS as u64) as usize]
     }
 
     /// Loads (or returns the cached) handle for a used inode.
@@ -150,7 +138,7 @@ impl InodeCache {
         if ino == 0 || ino >= layout.inode_count {
             return Err(FsError::Corrupted("inode number out of range"));
         }
-        let mut map = self.shard(ino).lock();
+        let mut map = self.map.lock();
         if let Some(h) = map.get(&ino) {
             return Ok(h.clone());
         }
@@ -173,7 +161,7 @@ impl InodeCache {
             state: RwLock::new(mem),
             opens: Mutex::new(0),
         });
-        self.shard(ino).lock().insert(ino, h.clone());
+        self.map.lock().insert(ino, h.clone());
         h
     }
 
@@ -184,7 +172,7 @@ impl InodeCache {
 
     /// Returns a slot to the free list and drops the cached handle.
     pub fn free_slot(&self, ino: u64) {
-        self.shard(ino).lock().remove(&ino);
+        self.map.lock().remove(&ino);
         self.free_slots.lock().push(ino);
     }
 
@@ -194,14 +182,9 @@ impl InodeCache {
     }
 
     /// Every inode number that currently has a cached handle, in
-    /// ascending order (shards are walked in index order, then sorted so
-    /// callers see a shard-count-independent listing).
+    /// ascending order.
     pub fn cached_inos(&self) -> Vec<u64> {
-        let mut inos: Vec<u64> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.lock().keys().copied().collect::<Vec<u64>>())
-            .collect();
+        let mut inos: Vec<u64> = self.map.lock().keys().copied().collect();
         inos.sort_unstable();
         inos
     }

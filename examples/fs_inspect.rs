@@ -290,15 +290,10 @@ fn main() {
             slowest.sort_by_key(|r| std::cmp::Reverse(r.total_ns));
             for r in slowest.iter().take(3) {
                 eprintln!(
-                    "tail:   exemplar {} {}ns at t={}ns shard={} batch={} fences={} stalls={} seq [{}, {}]",
+                    "tail:   exemplar {} {}ns at t={}ns batch={} fences={} stalls={} seq [{}, {}]",
                     r.op.label(),
                     r.total_ns,
                     r.at_ns,
-                    if r.shard == obsv::NO_SHARD {
-                        "-".to_string()
-                    } else {
-                        r.shard.to_string()
-                    },
                     r.batch,
                     r.fences,
                     r.stall_events,

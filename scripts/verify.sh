@@ -27,6 +27,12 @@ run scripts/lint_locks.sh
 run cargo clippy --workspace --all-targets $OFFLINE -- -D warnings
 run cargo build --release $OFFLINE
 run cargo test -q $OFFLINE
+# The crate unit tests (allocator, buffer pool, journal, obsv, bench
+# pipeline) run only in a workspace-wide test.
+run cargo test --workspace --release $OFFLINE
+# The benchmark's own checks: planted faults it must catch, and the
+# agreement between BENCHMARK.json and the metrics a run prints.
+run cargo test $OFFLINE --release --manifest-path perfbench/Cargo.toml
 # faultfs smoke sweep: crash-point enumeration + durability oracle +
 # fault injection across hinfs/pmfs/ext4 (fixed seed, capped points;
 # exits non-zero on any oracle violation or panic).
@@ -54,12 +60,12 @@ bench_tmp=$(mktemp -t BENCH_check.XXXXXX.json)
 trap 'rm -f "$bench_tmp" "$bench_tmp.bad" "$bench_tmp.blame" "$bench_tmp.waf"' EXIT
 run cargo run --release $OFFLINE -p hinfs-bench --bin experiments -- \
     --quick --fig 101 --fig 112 --bench-json "$bench_tmp"
-run scripts/bench_check.sh BENCH_pr10.json "$bench_tmp"
+run scripts/bench_check.sh BENCH_pr13.json "$bench_tmp"
 # The gate must also FAIL when a regression is injected — otherwise it
 # gates nothing.
 sed 's/\("headline::fileserver::hinfs::ops_per_s": \)\([0-9]*\)/\10/' \
     "$bench_tmp" >"$bench_tmp.bad"
-if scripts/bench_check.sh BENCH_pr10.json "$bench_tmp.bad" >/dev/null 2>&1; then
+if scripts/bench_check.sh BENCH_pr13.json "$bench_tmp.bad" >/dev/null 2>&1; then
     echo "verify: bench_check failed to flag an injected regression" >&2
     exit 1
 fi
@@ -70,13 +76,15 @@ echo "verify: bench_check catches injected regressions"
 # committed v4 baseline. The v3→v4 pair must DEGRADE the waf::/lag::
 # families to explicit notes rather than fail or stay silent.
 run scripts/bench_diff.sh $OFFLINE BENCH_pr7.json BENCH_pr9.json
+run scripts/bench_diff.sh $OFFLINE BENCH_pr6.json BENCH_pr13.json
+run scripts/bench_diff.sh $OFFLINE BENCH_pr10.json BENCH_pr13.json
 if ! scripts/bench_diff.sh $OFFLINE BENCH_pr9.json BENCH_pr10.json |
     grep -q 'waf:: keys missing on one side'; then
     echo "verify: bench_diff did not note the v3 side's missing waf:: family" >&2
     exit 1
 fi
 echo "verify: bench_diff degrades v3 baselines to waf/lag notes"
-run scripts/bench_diff.sh $OFFLINE BENCH_pr10.json "$bench_tmp"
+run scripts/bench_diff.sh $OFFLINE BENCH_pr13.json "$bench_tmp"
 # And its blame table must NAME a planted regression: multiply the
 # journal span-phase time by 10 and require the span blame to rank
 # `journal` first for that cell.

@@ -1,8 +1,8 @@
-//! Multicore stress tests for the sharded subsystems (PR 7).
+//! Multicore stress tests.
 //!
-//! - the sharded PMFS block allocator keeps exact accounting under an
-//!   8-thread alloc/free storm that drains shards through the
-//!   steal-on-empty path: no lost blocks, no double allocations;
+//! - the PMFS block allocator keeps exact accounting under an 8-thread
+//!   alloc/free storm that runs the single free list to exhaustion: no
+//!   lost blocks, no double allocations;
 //! - an 8-thread HiNFS run in spin mode leaves every online invariant
 //!   green and all data readable;
 //! - a crash schedule recorded while four threads hammer HiNFS replays
@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use faultfs::{FsKind, Harness, Script};
-use fskit::OpenFlags;
+use fskit::{FsError, OpenFlags};
 use nvmm::{FaultPlan, TimeMode};
 use pmfs::alloc::Allocator;
 use pmfs::Layout;
@@ -23,57 +23,61 @@ use workloads::fileset::{Fileset, FilesetSpec};
 use workloads::setups::{build, ObsvOptions, SystemConfig, SystemKind};
 use workloads::{Actor, RunLimit, Runner};
 
-/// Eight threads alloc/free against one sharded allocator sized so that
-/// every thread's demand exceeds a single shard's segment — the tail of
-/// each burst is served by steal-on-empty. Afterwards the books must be
-/// exact: every block handed out at most once at any instant, and
-/// nothing leaked.
+/// Eight threads alloc/free against one allocator. Each thread's burst is
+/// an eighth of the data area plus headroom, so together they ask for
+/// more blocks than exist and the free list keeps running dry mid-storm.
+/// A final concurrent drain empties it for certain. Afterwards the books
+/// must be exact: every block handed out at most once at any instant, a
+/// clean NoSpace at exhaustion, and nothing leaked.
 #[test]
-fn eight_thread_steal_stress_no_lost_or_double_blocks() {
+fn eight_thread_alloc_storm_no_lost_or_double_blocks() {
     const THREADS: usize = 8;
     const ROUNDS: usize = 40;
 
     let layout = Layout::compute(1024, 16, 256).expect("layout");
     let alloc = Arc::new(Allocator::new_empty(&layout));
     let total = alloc.free_blocks();
-    // Each thread's burst is larger than one shard's segment, so draining
-    // the preferred shard and stealing from neighbours is guaranteed.
-    let burst = (total as usize / THREADS).max(obsv::NSHARDS * 2);
-    let stolen_proof = total as usize / obsv::NSHARDS;
-    assert!(
-        burst > stolen_proof / 2,
-        "burst {burst} too small to force steals (shard segment ≈ {stolen_proof})"
-    );
+    let burst = total as usize / THREADS + 16;
 
     let still_held: Mutex<Vec<u64>> = Mutex::new(Vec::new());
     let double_allocs = AtomicU64::new(0);
+    let bad_errors = AtomicU64::new(0);
     std::thread::scope(|scope| {
         for t in 0..THREADS {
             let alloc = Arc::clone(&alloc);
             let still_held = &still_held;
             let double_allocs = &double_allocs;
+            let bad_errors = &bad_errors;
             scope.spawn(move || {
                 let mut mine: Vec<u64> = Vec::new();
-                for round in 0..ROUNDS {
-                    while mine.len() < burst {
+                let take = |mine: &mut Vec<u64>, limit: usize| {
+                    while mine.len() < limit {
                         match alloc.alloc() {
                             Ok(b) => mine.push(b),
-                            Err(_) => break, // pool exhausted: all shards drained
+                            Err(FsError::NoSpace) => break, // exhausted
+                            Err(_) => {
+                                bad_errors.fetch_add(1, Ordering::Relaxed);
+                                break;
+                            }
                         }
                     }
-                    // A duplicate inside one thread's live set means two
-                    // shards handed out the same block.
+                };
+                for round in 0..ROUNDS {
+                    take(&mut mine, burst);
+                    // A duplicate inside one thread's live set means the
+                    // allocator handed out the same block twice.
                     let set: HashSet<u64> = mine.iter().copied().collect();
                     if set.len() != mine.len() {
                         double_allocs.fetch_add(1, Ordering::Relaxed);
                     }
-                    // Free an uneven slice (threads desynchronize, keeping
-                    // shard occupancies skewed so steals keep happening).
+                    // Free an uneven slice so the threads desynchronize.
                     let keep = (t + round) % mine.len().max(1);
                     for b in mine.drain(keep..) {
                         alloc.free(b);
                     }
                 }
+                // Drain to exhaustion, all threads at once.
+                take(&mut mine, usize::MAX);
                 still_held.lock().unwrap().extend(mine.drain(..));
             });
         }
@@ -84,6 +88,7 @@ fn eight_thread_steal_stress_no_lost_or_double_blocks() {
         0,
         "double allocation"
     );
+    assert_eq!(bad_errors.load(Ordering::Relaxed), 0, "non-NoSpace error");
     let held = still_held.into_inner().unwrap();
     let distinct: HashSet<u64> = held.iter().copied().collect();
     assert_eq!(
@@ -91,11 +96,12 @@ fn eight_thread_steal_stress_no_lost_or_double_blocks() {
         held.len(),
         "two threads hold the same block"
     );
+    assert_eq!(alloc.free_blocks(), 0, "the final drain left free blocks");
+    assert_eq!(alloc.alloc().unwrap_err(), FsError::NoSpace);
     assert_eq!(
-        alloc.free_blocks() + held.len() as u64,
+        held.len() as u64,
         total,
-        "blocks lost or conjured: free {} held {} total {total}",
-        alloc.free_blocks(),
+        "blocks lost or conjured: held {} total {total}",
         held.len()
     );
     // Returning everything restores the empty-image free count exactly
@@ -106,10 +112,10 @@ fn eight_thread_steal_stress_no_lost_or_double_blocks() {
     assert_eq!(alloc.free_blocks(), total);
 }
 
-/// Eight fileserver actors on real threads (spin mode) against a sharded
-/// HiNFS mount with the online auditor enabled: the run must finish with
-/// every invariant green and the mount must unmount cleanly (which
-/// flushes every shard).
+/// Eight fileserver actors on real threads (spin mode) against a HiNFS
+/// mount with the online auditor enabled: the run must finish with every
+/// invariant green and the mount must unmount cleanly (which flushes the
+/// whole buffer pool).
 #[test]
 fn eight_thread_hinfs_run_keeps_invariants_green() {
     let cfg = SystemConfig {

@@ -179,11 +179,14 @@ fn stress_many_seeds_all_kinds() {
     }
 }
 
-/// Mounts a small PMFS and appends to one file until at least one
-/// allocator shard is completely drained: from here on every further
-/// allocation runs the PR-7 steal-on-empty path. Returns the device, the
-/// mounted fs and the open fd.
-fn pmfs_in_steal_regime() -> (Arc<NvmmDevice>, Arc<Pmfs>, fskit::Fd) {
+/// Free data blocks left when [`pmfs_near_exhaustion`] stops filling:
+/// room for a few more one-block appends (data plus tree nodes), no more.
+const EXHAUSTION_HEADROOM: u64 = 12;
+
+/// Mounts a small PMFS and appends to one file until the allocator's free
+/// list is down to [`EXHAUSTION_HEADROOM`] blocks. Returns the device,
+/// the mounted fs and the open fd.
+fn pmfs_near_exhaustion() -> (Arc<NvmmDevice>, Arc<Pmfs>, fskit::Fd) {
     let env = SimEnv::new_virtual(CostModel::default());
     let dev = NvmmDevice::new_tracked(env.clone(), 8 << 20);
     let fs = Pmfs::mkfs(
@@ -197,15 +200,12 @@ fn pmfs_in_steal_regime() -> (Arc<NvmmDevice>, Arc<Pmfs>, fskit::Fd) {
     let fd = fs
         .open("/big", OpenFlags::RDWR | OpenFlags::CREATE)
         .unwrap();
-    let mut guard = 0u32;
-    while fs.allocator().free_blocks_by_shard().iter().all(|&f| f > 0) {
+    while fs.free_blocks() > EXHAUSTION_HEADROOM {
         fs.append(fd, &[0x42u8; 4096]).unwrap();
-        guard += 1;
-        assert!(guard < 4096, "filled the device without draining a shard");
     }
     assert!(
-        fs.free_blocks() > 8,
-        "no headroom left for the steal phase (free {})",
+        fs.free_blocks() > 4,
+        "no headroom left for the exhaustion phase (free {})",
         fs.free_blocks()
     );
     (dev, fs, fd)
@@ -236,30 +236,46 @@ fn assert_exact_accounting(fs: &Pmfs) {
     assert_eq!(fs.free_blocks(), free, "drain+refill must be lossless");
 }
 
-/// ENOSPC injected while the allocator is in the steal regime: the append
-/// fails with a clean NoSpace (no panic, no leaked reservation); lifting
-/// the fault lets the same append succeed *through a steal*; and after a
-/// crash + remount the rebuilt bitmap accounts for every block exactly.
+/// ENOSPC near allocator exhaustion, injected and then real: the injected
+/// fault fails the append with a clean NoSpace (no panic, no leaked
+/// reservation); lifting it lets the same append succeed; appending on
+/// until the free list runs dry ends in a real, equally clean NoSpace;
+/// and after a crash + remount the rebuilt bitmap accounts for every
+/// block exactly.
 #[test]
-fn enospc_during_steal_is_clean_and_books_stay_exact() {
-    let (dev, fs, fd) = pmfs_in_steal_regime();
+fn enospc_at_allocator_exhaustion_is_clean_and_books_stay_exact() {
+    let (dev, fs, fd) = pmfs_near_exhaustion();
     let plan = FaultPlan::new();
     dev.fault_hook().install(plan.clone());
     plan.set_fail_alloc(true);
     let free_before = fs.free_blocks();
     let res = catch_unwind(AssertUnwindSafe(|| fs.append(fd, &[0x77u8; 4096])))
-        .expect("injected ENOSPC during steal must not panic");
+        .expect("injected ENOSPC must not panic");
     assert_eq!(res.unwrap_err(), FsError::NoSpace);
     assert_eq!(
         fs.free_blocks(),
         free_before,
         "a failed allocation must not leak blocks"
     );
-    // Lifted: the very same append now succeeds, served by steal-on-empty
-    // (the preferred shard may be one of the drained ones).
+    // Lifted: the very same append now succeeds.
     plan.set_fail_alloc(false);
     fs.append(fd, &[0x88u8; 4096]).unwrap();
     dev.fault_hook().clear();
+    // Real exhaustion: the free list runs dry and the append that finds
+    // it empty fails cleanly without touching the acknowledged size.
+    let err = loop {
+        let acked = fs.stat("/big").unwrap().size;
+        match catch_unwind(AssertUnwindSafe(|| fs.append(fd, &[0x99u8; 4096])))
+            .expect("real ENOSPC must not panic")
+        {
+            Ok(_) => continue,
+            Err(e) => {
+                assert_eq!(fs.stat("/big").unwrap().size, acked);
+                break e;
+            }
+        }
+    };
+    assert_eq!(err, FsError::NoSpace);
     let size = fs.stat("/big").unwrap().size;
 
     // Power-fail and remount: PMFS acks are durable, and the recovery
@@ -272,33 +288,33 @@ fn enospc_during_steal_is_clean_and_books_stay_exact() {
     assert_exact_accounting(&fs2);
 }
 
-/// Power failure in the middle of an append whose allocation steals from
-/// a neighbour shard: recovery must roll the open transaction back (the
-/// acknowledged size survives, the in-flight append does not), the
-/// rebuilt bitmap must account for every block exactly, and a second
-/// clean remount must agree with the first.
+/// Power failure in the middle of an append at allocator exhaustion:
+/// recovery must roll the open transaction back (the acknowledged size
+/// survives, the in-flight append does not), the rebuilt bitmap must
+/// account for every block exactly, and a second clean remount must
+/// agree with the first.
 #[test]
-fn crash_during_steal_rebuilds_exact_accounting() {
+fn crash_at_allocator_exhaustion_rebuilds_exact_accounting() {
     let _quiet = Harness::new(); // installs the quiet CrashSignal panic hook
 
-    // Pass 1 (record): count the persistence boundaries one steal-path
+    // Pass 1 (record): count the persistence boundaries one exhaustion
     // append crosses. The whole setup runs on the virtual clock, so the
     // schedule is identical across builds.
     let n_boundaries = {
-        let (dev, fs, fd) = pmfs_in_steal_regime();
+        let (dev, fs, fd) = pmfs_near_exhaustion();
         let plan = FaultPlan::new();
         dev.fault_hook().install(plan.clone());
         plan.start_recording();
         fs.append(fd, &[0x99u8; 4096]).unwrap();
         let n = plan.stop_recording().iter().filter(|b| b.index > 0).count() as u64;
-        assert!(n >= 3, "a steal-path append crossed only {n} boundaries");
+        assert!(n >= 3, "an exhaustion append crossed only {n} boundaries");
         n
     };
 
     // Pass 2 (crash): rebuild the identical regime and power-fail at the
     // second-to-last boundary — inside the append's undo transaction,
     // after its journal entries persisted but before the commit record.
-    let (dev, fs, fd) = pmfs_in_steal_regime();
+    let (dev, fs, fd) = pmfs_near_exhaustion();
     let size_acked = fs.stat("/big").unwrap().size;
     let plan = FaultPlan::new();
     dev.fault_hook().install(plan.clone());
@@ -307,7 +323,7 @@ fn crash_during_steal_rebuilds_exact_accounting() {
     match res {
         Err(payload) => assert!(
             payload.downcast_ref::<nvmm::CrashSignal>().is_some(),
-            "foreign panic during steal-path append"
+            "foreign panic during the exhaustion append"
         ),
         Ok(_) => panic!("the armed crash must fire inside the append"),
     }
@@ -318,7 +334,7 @@ fn crash_during_steal_rebuilds_exact_accounting() {
     let fs2 = Pmfs::mount(dev.clone()).unwrap();
     assert!(
         fs2.recovery_stats().txs_undone > 0,
-        "the mid-steal append must have left an open transaction to undo"
+        "the crashed append must have left an open transaction to undo"
     );
     assert_eq!(
         fs2.stat("/big").unwrap().size,
