@@ -34,7 +34,7 @@ pub fn lookup(
     mem: &ExtInodeMem,
     name: &str,
 ) -> Result<Option<(u64, FileType)>> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         read_dir_block(cache, mem, iblk, &mut buf)?;
         for (_, e) in parse_block(&buf)? {
@@ -50,13 +50,13 @@ pub fn lookup(
 /// Lists every live entry.
 pub fn list(cache: &BufferCache, mem: &ExtInodeMem) -> Result<Vec<DirEntry>> {
     let mut out = Vec::new();
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         read_dir_block(cache, mem, iblk, &mut buf)?;
         for (_, e) in parse_block(&buf)? {
             if e.ino != 0 {
                 out.push(DirEntry {
-                    name: String::from_utf8(e.name.clone())
+                    name: String::from_utf8(e.name.to_vec())
                         .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
                     ino: e.ino,
                     ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
@@ -86,7 +86,7 @@ pub fn add(
 ) -> Result<()> {
     debug_assert!(!name.is_empty() && name.len() <= 255);
     let need = entry_len(name.len());
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let blk = read_dir_block(cache, mem, iblk, &mut buf)?;
         for (off, e) in parse_block(&buf)? {
@@ -145,7 +145,7 @@ pub fn remove(
     name: &str,
     now: u64,
 ) -> Result<(u64, FileType)> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let blk = read_dir_block(cache, mem, iblk, &mut buf)?;
         let entries = parse_block(&buf)?;

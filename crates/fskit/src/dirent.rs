@@ -25,9 +25,9 @@ pub fn entry_len(n: usize) -> usize {
     align4(HDR + n)
 }
 
-/// A decoded directory entry record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RawEntry {
+/// A decoded directory entry record, borrowing its name from the block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawEntry<'a> {
     /// Target inode; 0 marks free space.
     pub ino: u64,
     /// Total record length including padding.
@@ -35,7 +35,7 @@ pub struct RawEntry {
     /// On-media file type byte.
     pub ftype: u8,
     /// Name bytes (empty for free records).
-    pub name: Vec<u8>,
+    pub name: &'a [u8],
 }
 
 /// Encodes an entry header.
@@ -50,7 +50,7 @@ pub fn encode_header(ino: u64, rec_len: usize, name_len: usize, ftype: u8) -> [u
 
 /// Parses one directory block into `(offset, entry)` pairs, validating the
 /// record chain tiles the block exactly.
-pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, RawEntry)>> {
+pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, RawEntry<'_>)>> {
     let block_size = buf.len();
     let mut out = Vec::new();
     let mut off = 0;
@@ -69,9 +69,9 @@ pub fn parse_block(buf: &[u8]) -> Result<Vec<(usize, RawEntry)>> {
             return Err(FsError::Corrupted("dirent name_len"));
         }
         let name = if ino != 0 {
-            buf[off + HDR..off + HDR + name_len].to_vec()
+            &buf[off + HDR..off + HDR + name_len]
         } else {
-            Vec::new()
+            &[]
         };
         out.push((
             off,

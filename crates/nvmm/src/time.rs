@@ -9,7 +9,9 @@
 //!
 //! In virtual mode a scheduler multiplexes many *logical actors* onto one
 //! OS thread by saving/restoring the thread-local clock around each actor
-//! step ([`SimEnv::set_now`] / [`SimEnv::with_now`]).
+//! step ([`SimEnv::set_now`] / [`SimEnv::with_now`]). A persist books its
+//! cachelines in the bandwidth gate's dense calendar one line at a time,
+//! all under one lock hold.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -185,7 +187,9 @@ impl SimEnv {
     ///
     /// Admission is per cacheline — the unit real memory controllers
     /// schedule at — so concurrent writers interleave fairly instead of a
-    /// small flush waiting behind another thread's whole-block write.
+    /// small flush waiting behind another thread's whole-block write. In
+    /// virtual mode the gate places the lines one by one under a single
+    /// lock hold ([`BandwidthGate::admit_lines`]).
     pub fn nvmm_persist(&self, cat: Cat, lines: usize) {
         if lines == 0 {
             return;
@@ -194,10 +198,7 @@ impl SimEnv {
         match self.mode {
             TimeMode::Virtual => {
                 let start = self.now();
-                let mut now = start;
-                for _ in 0..lines {
-                    now = self.gate.admit(now, line_ns);
-                }
+                let now = self.gate.admit_lines(start, line_ns, lines);
                 ledger::add(cat, now - start);
                 // Queueing delay beyond pure service time is bandwidth
                 // throttling: attribute it as an explicit stall site

@@ -36,6 +36,22 @@ impl Inner {
     fn clear(&mut self, b: u64) {
         self.bitmap[(b / 64) as usize] &= !(1 << (b % 64));
     }
+
+    /// Lowest clear bit in `[from, to)`, skipping whole used words.
+    fn first_free(&self, from: u64, to: u64) -> Option<u64> {
+        let mut b = from;
+        while b < to {
+            let shift = b % 64;
+            // The shift fills the top with zeros, so a run of ones reaching
+            // them means the rest of the word is in use.
+            let ones = (self.bitmap[(b / 64) as usize] >> shift).trailing_ones() as u64;
+            if shift + ones < 64 {
+                return Some(b + ones).filter(|&f| f < to);
+            }
+            b += 64 - shift;
+        }
+        None
+    }
 }
 
 /// DRAM-resident block allocator over the data area: one free list (the
@@ -97,21 +113,17 @@ impl Allocator {
             return Err(FsError::NoSpace);
         }
         let (lo, hi) = (inner.data_start, inner.total_blocks);
+        // First free block at or after the hint, wrapping around once.
         let start = inner.hint.clamp(lo, hi - 1);
-        let mut b = start;
-        loop {
-            if !inner.get(b) {
-                inner.set(b);
-                inner.free -= 1;
-                inner.hint = if b + 1 < hi { b + 1 } else { lo };
-                return Ok(b);
-            }
-            b = if b + 1 < hi { b + 1 } else { lo };
-            if b == start {
-                // `free` said there was space; the bitmap disagrees.
-                return Err(FsError::Corrupted("allocator free count"));
-            }
-        }
+        let b = inner
+            .first_free(start, hi)
+            .or_else(|| inner.first_free(lo, start))
+            // `free` said there was space; the bitmap disagrees.
+            .ok_or(FsError::Corrupted("allocator free count"))?;
+        inner.set(b);
+        inner.free -= 1;
+        inner.hint = if b + 1 < hi { b + 1 } else { lo };
+        Ok(b)
     }
 
     /// Returns a block to the free pool.
@@ -205,6 +217,70 @@ mod tests {
         assert_eq!(a.free_blocks(), initial - 1);
         // The hint resets to the lowest freed block: it is handed out next.
         assert_eq!(a.alloc().unwrap(), b1);
+    }
+
+    #[test]
+    fn word_scan_matches_a_bit_by_bit_reference() {
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        // The bit-at-a-time search the word scan replaced: from the hint
+        // to the end of the device, then wrapping to the data start.
+        struct Reference {
+            used: Vec<bool>,
+            hint: u64,
+            lo: u64,
+        }
+        impl Reference {
+            fn alloc(&mut self) -> Option<u64> {
+                let hi = self.used.len() as u64;
+                let start = self.hint.clamp(self.lo, hi - 1);
+                let mut b = start;
+                loop {
+                    if !self.used[b as usize] {
+                        self.used[b as usize] = true;
+                        self.hint = if b + 1 < hi { b + 1 } else { self.lo };
+                        return Some(b);
+                    }
+                    b = if b + 1 < hi { b + 1 } else { self.lo };
+                    if b == start {
+                        return None;
+                    }
+                }
+            }
+        }
+        // A total that is not a multiple of 64 leaves a partial last word.
+        let layout = Layout::compute(1000, 16, 256).unwrap();
+        for seed in 0..8 {
+            let a = Allocator::new_empty(&layout);
+            let mut r = Reference {
+                used: (0..layout.total_blocks)
+                    .map(|b| b < layout.data_start)
+                    .collect(),
+                hint: layout.data_start,
+                lo: layout.data_start,
+            };
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut live: Vec<u64> = Vec::new();
+            let mut wrapped = false;
+            for _ in 0..6_000 {
+                // Drift between filling up and draining, so runs hit both
+                // exhaustion and long stretches of full words.
+                let fill = (rng.next_u64() >> 40) % 4 != 0;
+                if fill || live.is_empty() {
+                    let got = a.alloc().ok();
+                    assert_eq!(got, r.alloc(), "seed {seed}");
+                    if let Some(b) = got {
+                        wrapped |= live.last().is_some_and(|&p| b < p);
+                        live.push(b);
+                    }
+                } else {
+                    let b = live.swap_remove(rng.gen_range(0..live.len()));
+                    a.free(b);
+                    r.used[b as usize] = false;
+                    r.hint = r.hint.min(b);
+                }
+            }
+            assert!(wrapped, "seed {seed}: the search wrapped around");
+        }
     }
 
     #[test]

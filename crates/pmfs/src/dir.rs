@@ -33,7 +33,7 @@ fn dir_blocks(mem: &InodeMem) -> u64 {
 
 /// Looks up `name`, returning its inode number and type.
 pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u64, FileType)>> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
         dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
@@ -50,14 +50,14 @@ pub fn lookup(dev: &NvmmDevice, mem: &InodeMem, name: &str) -> Result<Option<(u6
 /// Lists every live entry.
 pub fn list(dev: &NvmmDevice, mem: &InodeMem) -> Result<Vec<DirEntry>> {
     let mut out = Vec::new();
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
         dev.read(Cat::Meta, Layout::block_off(pblk), &mut buf);
         for (_, e) in parse_block(&buf)? {
             if e.ino != 0 {
                 out.push(DirEntry {
-                    name: String::from_utf8(e.name.clone())
+                    name: String::from_utf8(e.name.to_vec())
                         .map_err(|_| FsError::Corrupted("dirent name utf8"))?,
                     ino: e.ino,
                     ftype: FileType::from_u8(e.ftype).ok_or(FsError::Corrupted("dirent type"))?,
@@ -89,7 +89,7 @@ pub fn add(
 ) -> Result<()> {
     debug_assert!(!name.is_empty() && name.len() <= 255);
     let need = entry_len(name.len());
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
         let base = Layout::block_off(pblk);
@@ -171,7 +171,7 @@ pub fn remove(
     mem: &InodeMem,
     name: &str,
 ) -> Result<(u64, FileType)> {
-    let mut buf = vec![0u8; BLOCK_SIZE];
+    let mut buf = [0u8; BLOCK_SIZE];
     for iblk in 0..dir_blocks(mem) {
         let pblk = tree::lookup(dev, mem, iblk).ok_or(FsError::Corrupted("dir hole"))?;
         let base = Layout::block_off(pblk);

@@ -102,6 +102,18 @@ pub fn insert(
     Ok(())
 }
 
+/// Calls `f(slot, ptr)` for every nonzero slot of `node`, ascending. The
+/// scan charges the metadata reads of all [`FANOUT`] slots, and `f` may
+/// clear the slot it is given.
+fn scan(dev: &NvmmDevice, node: u64, mut f: impl FnMut(u64, u64)) {
+    dev.for_each_nonzero_u64(
+        Cat::Meta,
+        Layout::block_off(node),
+        FANOUT as usize,
+        |slot, p| f(slot as u64, p),
+    );
+}
+
 /// Calls `f(iblk, pblk)` for every mapped block, ascending.
 pub fn for_each(dev: &NvmmDevice, mem: &InodeMem, f: &mut impl FnMut(u64, u64)) {
     if mem.tree_root != 0 {
@@ -111,17 +123,13 @@ pub fn for_each(dev: &NvmmDevice, mem: &InodeMem, f: &mut impl FnMut(u64, u64)) 
 
 fn walk(dev: &NvmmDevice, node: u64, level: u32, base: u64, f: &mut impl FnMut(u64, u64)) {
     let span = capacity(level - 1);
-    for slot in 0..FANOUT {
-        let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
-        if p == 0 {
-            continue;
-        }
+    scan(dev, node, |slot, p| {
         if level == 1 {
             f(base + slot, p);
         } else {
             walk(dev, p, level - 1, base + slot * span, f);
         }
-    }
+    });
 }
 
 /// Calls `mark(pblk)` for every block owned by the tree: interior nodes,
@@ -138,22 +146,14 @@ fn mark_walk(dev: &NvmmDevice, node: u64, level: u32, mark: &mut impl FnMut(u64)
     if level == 0 {
         return;
     }
-    if level == 1 {
-        // `node` is a leaf node: mark its data blocks.
-        for slot in 0..FANOUT {
-            let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
-            if p != 0 {
-                mark(p);
-            }
-        }
-        return;
-    }
-    for slot in 0..FANOUT {
-        let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
-        if p != 0 {
+    scan(dev, node, |_, p| {
+        if level == 1 {
+            // `node` is a leaf node: `p` is a data block.
+            mark(p);
+        } else {
             mark_walk(dev, p, level - 1, mark);
         }
-    }
+    });
 }
 
 /// Unmaps and frees every data block with file index `>= from_iblk`,
@@ -194,17 +194,13 @@ fn prune(
 ) -> bool {
     let span = capacity(level - 1);
     let mut any_left = false;
-    for slot in 0..FANOUT {
+    scan(dev, node, |slot, p| {
         let off = slot_off(node, slot);
-        let p = dev.read_u64(Cat::Meta, off);
-        if p == 0 {
-            continue;
-        }
         let lo = base + slot * span;
         let hi = lo + span; // exclusive
         if hi <= from {
             any_left = true;
-            continue;
+            return;
         }
         if level == 1 {
             // Data block at index `lo` >= from: free it.
@@ -216,26 +212,20 @@ fn prune(
             drop_subtree(dev, alloc, p, level - 1, freed);
             dev.write_u64_persist(Cat::Meta, off, 0);
             alloc.free(p);
+        } else if prune(dev, alloc, p, level - 1, lo, from, freed) {
+            // Straddled the boundary and is now empty.
+            dev.write_u64_persist(Cat::Meta, off, 0);
+            alloc.free(p);
         } else {
-            // Straddles the boundary: recurse.
-            if prune(dev, alloc, p, level - 1, lo, from, freed) {
-                dev.write_u64_persist(Cat::Meta, off, 0);
-                alloc.free(p);
-            } else {
-                any_left = true;
-            }
+            any_left = true;
         }
-    }
+    });
     dev.sfence();
     !any_left
 }
 
 fn drop_subtree(dev: &NvmmDevice, alloc: &Allocator, node: u64, level: u32, freed: &mut u64) {
-    for slot in 0..FANOUT {
-        let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
-        if p == 0 {
-            continue;
-        }
+    scan(dev, node, |_, p| {
         if level == 1 {
             alloc.free(p);
             *freed += 1;
@@ -243,7 +233,7 @@ fn drop_subtree(dev: &NvmmDevice, alloc: &Allocator, node: u64, level: u32, free
             drop_subtree(dev, alloc, p, level - 1, freed);
             alloc.free(p);
         }
-    }
+    });
 }
 
 #[cfg(test)]
@@ -367,6 +357,145 @@ mod tests {
         let mut marked = 0u64;
         mark_all(&dev, &mem, &mut |_p| marked += 1);
         assert_eq!(marked, allocated, "walk sees exactly the allocated blocks");
+    }
+
+    /// The word-at-a-time walks the node scans replaced: one `read_u64`
+    /// per slot.
+    mod word_walk {
+        use super::*;
+
+        pub fn mark(dev: &NvmmDevice, node: u64, level: u32, out: &mut Vec<(u64, u64)>) {
+            out.push((node, dev.env().now()));
+            for slot in 0..FANOUT {
+                let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
+                if p != 0 && level == 1 {
+                    out.push((p, dev.env().now()));
+                } else if p != 0 {
+                    mark(dev, p, level - 1, out);
+                }
+            }
+        }
+
+        pub fn prune(
+            dev: &NvmmDevice,
+            alloc: &Allocator,
+            node: u64,
+            level: u32,
+            base: u64,
+            from: u64,
+            freed: &mut u64,
+        ) -> bool {
+            let span = capacity(level - 1);
+            let mut any_left = false;
+            for slot in 0..FANOUT {
+                let off = slot_off(node, slot);
+                let p = dev.read_u64(Cat::Meta, off);
+                if p == 0 {
+                    continue;
+                }
+                let lo = base + slot * span;
+                if lo + span <= from {
+                    any_left = true;
+                } else if level == 1 {
+                    dev.write_u64_persist(Cat::Meta, off, 0);
+                    alloc.free(p);
+                    *freed += 1;
+                } else if lo >= from {
+                    drop(dev, alloc, p, level - 1, freed);
+                    dev.write_u64_persist(Cat::Meta, off, 0);
+                    alloc.free(p);
+                } else if prune(dev, alloc, p, level - 1, lo, from, freed) {
+                    dev.write_u64_persist(Cat::Meta, off, 0);
+                    alloc.free(p);
+                } else {
+                    any_left = true;
+                }
+            }
+            dev.sfence();
+            !any_left
+        }
+
+        fn drop(dev: &NvmmDevice, alloc: &Allocator, node: u64, level: u32, freed: &mut u64) {
+            for slot in 0..FANOUT {
+                let p = dev.read_u64(Cat::Meta, slot_off(node, slot));
+                if p != 0 && level == 1 {
+                    alloc.free(p);
+                    *freed += 1;
+                } else if p != 0 {
+                    drop(dev, alloc, p, level - 1, freed);
+                    alloc.free(p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn node_scans_charge_like_the_word_at_a_time_walk() {
+        let cost = CostModel {
+            dram_ns_per_kib: 100,
+            nvmm_read_extra_ns: 7,
+            ..CostModel::default()
+        };
+        // A 2-level tree with holes, truncated in the middle of its second
+        // leaf (a straddling prune, a whole-subtree drop and a leaf prune),
+        // then emptied; both walks must leave identical models behind.
+        let run = |word_at_a_time: bool| {
+            let blocks = 8192u64;
+            let dev = NvmmDevice::new(
+                SimEnv::new_virtual(cost.clone()),
+                blocks as usize * BLOCK_SIZE,
+            );
+            let alloc = Allocator::new_empty(&Layout::compute(blocks, 16, 128).unwrap());
+            let mut mem = InodeMem::new(FileType::File, 0);
+            for i in (0..1800u64).filter(|i| i % 7 != 3) {
+                let b = alloc.alloc().unwrap();
+                insert(&dev, &alloc, &mut mem, i, b).unwrap();
+            }
+            assert_eq!(mem.tree_height, 2);
+            // Every other microsecond of the gate is booked solid, so a
+            // prune write's queueing depends on the exact time it issues.
+            let gate = dev.env().gate();
+            for us in (0..40_000).step_by(2) {
+                gate.admit_lines(us * 1_000, 0, gate.lines_per_bucket() as usize);
+            }
+            nvmm::ledger::reset();
+            dev.env().set_now(0);
+            let mut marked = Vec::new();
+            let mut freed = Vec::new();
+            for from in [700, 0] {
+                if word_at_a_time {
+                    word_walk::mark(&dev, mem.tree_root, mem.tree_height, &mut marked);
+                    let mut n = 0;
+                    if word_walk::prune(
+                        &dev,
+                        &alloc,
+                        mem.tree_root,
+                        mem.tree_height,
+                        0,
+                        from,
+                        &mut n,
+                    ) {
+                        alloc.free(mem.tree_root);
+                        mem.tree_root = 0;
+                    }
+                    freed.push(n);
+                } else {
+                    mark_all(&dev, &mem, &mut |p| marked.push((p, dev.env().now())));
+                    freed.push(remove_from(&dev, &alloc, &mut mem, from));
+                }
+            }
+            assert_eq!(mem.tree_root, 0);
+            let read = dev.stats().snapshot().nvmm_bytes_read;
+            (
+                dev.env().now(),
+                nvmm::ledger::snapshot(),
+                read,
+                marked,
+                freed,
+                alloc.free_blocks(),
+            )
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -31,8 +31,9 @@ ITERS="${2:-48}"
 
 cargo build --release $OFFLINE --example fuzz_fs
 
+# Cargo puts the example under $CARGO_TARGET_DIR when that is set.
 run_fuzz() {
-    ./target/release/examples/fuzz_fs "$@"
+    "${CARGO_TARGET_DIR:-target}/release/examples/fuzz_fs" "$@"
 }
 
 tmpdir=$(mktemp -d -t fuzz_soak.XXXXXX)

@@ -6,8 +6,9 @@
 //! `criterion_group!`, `criterion_main!`, `black_box` — but replaces the
 //! statistics engine with a plain fixed-count timing loop: per benchmark it
 //! runs one warm-up sample plus `sample_size` timed samples of
-//! [`ITERS_PER_SAMPLE`] iterations each and prints mean/min/max ns per
-//! iteration. Good enough to spot order-of-magnitude regressions without
+//! [`ITERS_PER_SAMPLE`] iterations each and prints the median and minimum
+//! ns per iteration. Both shrug off the odd preempted sample that drags a
+//! mean around on a shared host. Good enough to spot regressions without
 //! the dependency tree.
 
 use std::time::Instant;
@@ -80,14 +81,13 @@ impl BenchmarkGroup<'_> {
                 per_iter.push(b.elapsed_ns as f64 / b.iters as f64);
             }
         }
-        let (mean, min, max) = summarize(&per_iter);
+        let (median, min) = summarize(&mut per_iter);
         println!(
-            "bench {}/{}: {:>12.1} ns/iter (min {:.1}, max {:.1}, {} samples)",
+            "bench {}/{}: {:>12.1} ns/iter median (min {:.1}, {} samples)",
             self.name,
             id,
-            mean,
+            median,
             min,
-            max,
             per_iter.len()
         );
         self
@@ -97,14 +97,20 @@ impl BenchmarkGroup<'_> {
     pub fn finish(self) {}
 }
 
-fn summarize(samples: &[f64]) -> (f64, f64, f64) {
+/// The median and minimum of `samples` (sorted in place); the median of
+/// an even count is the mean of the middle two.
+fn summarize(samples: &mut [f64]) -> (f64, f64) {
     if samples.is_empty() {
-        return (0.0, 0.0, 0.0);
+        return (0.0, 0.0);
     }
-    let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-    let min = samples.iter().cloned().fold(f64::INFINITY, f64::min);
-    let max = samples.iter().cloned().fold(0.0f64, f64::max);
-    (mean, min, max)
+    samples.sort_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    let median = if samples.len() % 2 == 1 {
+        samples[mid]
+    } else {
+        (samples[mid - 1] + samples[mid]) / 2.0
+    };
+    (median, samples[0])
 }
 
 /// Timing handle passed to the closure of `bench_function`.
@@ -122,6 +128,24 @@ impl Bencher {
             black_box(f());
         }
         self.elapsed_ns += t0.elapsed().as_nanos();
+        self.iters += ITERS_PER_SAMPLE;
+    }
+}
+
+impl Bencher {
+    /// Times `routine` over a fixed number of iterations, each on a fresh
+    /// input from `setup`; only `routine` is timed.
+    pub fn iter_with_setup<I, O>(
+        &mut self,
+        mut setup: impl FnMut() -> I,
+        mut routine: impl FnMut(I) -> O,
+    ) {
+        for _ in 0..ITERS_PER_SAMPLE {
+            let input = setup();
+            let t0 = Instant::now();
+            black_box(routine(input));
+            self.elapsed_ns += t0.elapsed().as_nanos();
+        }
         self.iters += ITERS_PER_SAMPLE;
     }
 }
@@ -164,11 +188,24 @@ mod tests {
     }
 
     #[test]
-    fn summary_math() {
-        let (mean, min, max) = summarize(&[1.0, 2.0, 3.0]);
-        assert_eq!(mean, 2.0);
-        assert_eq!(min, 1.0);
-        assert_eq!(max, 3.0);
+    fn setup_runs_once_per_timed_iteration() {
+        let mut b = Bencher::default();
+        let (mut setups, mut runs) = (0u64, 0u64);
+        b.iter_with_setup(|| setups += 1, |()| runs += 1);
+        assert_eq!(
+            (setups, runs, b.iters),
+            (ITERS_PER_SAMPLE, ITERS_PER_SAMPLE, ITERS_PER_SAMPLE)
+        );
+    }
+
+    #[test]
+    fn summary_is_median_and_min() {
+        // Odd count: the middle sample, not the mean (which is 35).
+        assert_eq!(summarize(&mut [100.0, 2.0, 3.0]), (3.0, 2.0));
+        // Even count: the mean of the middle two.
+        assert_eq!(summarize(&mut [9.0, 1.0, 5.0, 3.0]), (4.0, 1.0));
+        assert_eq!(summarize(&mut [7.0]), (7.0, 7.0));
+        assert_eq!(summarize(&mut []), (0.0, 0.0));
     }
 
     criterion_group!(self_group, noop_bench);
